@@ -59,8 +59,13 @@ func EnergyEstimate(cfg Config, alg Algorithm, bytes int64) (EnergyReport, error
 // EventLevelTime runs the message-level discrete-event simulator on an
 // optical algorithm's schedule, in barrier (the paper's model) or async
 // (node-local dependency) mode, and returns the end-to-end time. Barrier
-// mode matches CommunicationTime; async bounds what a runtime could gain by
-// dropping global step barriers.
+// mode matches CommunicationTime up to floating-point rounding only when
+// every step fits the wavelength budget in one round. When a step splits
+// into sequential rounds, CommunicationTime serializes the rounds, while
+// barrier mode starts each later-round transfer as soon as its own
+// wavelengths are free; it is then never slower and often faster (e.g.
+// wrht-pipelined, and wrht-unstriped at W=16). Async bounds what a runtime
+// could gain by dropping global step barriers.
 func EventLevelTime(cfg Config, alg Algorithm, bytes int64, async bool) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err

@@ -135,15 +135,21 @@ func StepCost(topo ring.Topology, p Params, transfers []TransferSpec, policy wdm
 // StepPricer prices a sequence of synchronous steps on one ring, reusing the
 // wavelength-assignment workspace and the demand buffers across steps so the
 // per-step allocation cost is bounded by the result (rounds and stripes),
-// not the step size. Not safe for concurrent use.
+// not the step size. With a wdm.ColoringCache attached (UseColorings), a
+// step whose active demand set the cache has seen is not colored again: its
+// cached rounds are re-timed from the step's own byte counts. Not safe for
+// concurrent use (the attached cache is).
 type StepPricer struct {
-	topo    ring.Topology
-	p       Params
-	policy  wdm.Policy
-	ws      *wdm.Workspace
-	sym     *wdm.SymmetricAssigner
-	demands []wdm.Demand
-	active  []TransferSpec
+	topo   ring.Topology
+	p      Params
+	policy wdm.Policy
+	ws     *wdm.Workspace
+	// colorings memoizes step colorings; nil colors every Price call afresh
+	// (PriceSymmetric creates a private cache on first use, which Price then
+	// shares).
+	colorings *wdm.ColoringCache
+	demands   []wdm.Demand
+	active    []TransferSpec
 }
 
 // NewStepPricer validates the parameters once and returns a pricer.
@@ -154,10 +160,19 @@ func NewStepPricer(topo ring.Topology, p Params, policy wdm.Policy) (*StepPricer
 	return &StepPricer{topo: topo, p: p, policy: policy, ws: wdm.NewWorkspace(topo)}, nil
 }
 
+// UseColorings makes Price and PriceSymmetric look step colorings up in c
+// (and store new ones there). Results are bit-identical with and without a
+// cache, but Price then reports no Assignments, so callers that replay
+// stripes through a Fabric must not attach one.
+func (sp *StepPricer) UseColorings(c *wdm.ColoringCache) {
+	sp.colorings = c
+}
+
 // Price prices one step. The result's Assignments are views into the
 // pricer's reusable round storage and are valid only until the next Price
-// call (multi-step runners consume them — e.g. for fabric replay — before
-// pricing the next step).
+// or PriceSymmetric call (multi-step runners consume them — e.g. for fabric
+// replay — before pricing the next step); they are nil when a coloring
+// cache is attached.
 //
 //wrht:noalloc
 func (sp *StepPricer) Price(transfers []TransferSpec) (StepResult, error) {
@@ -187,6 +202,21 @@ func (sp *StepPricer) Price(transfers []TransferSpec) (StepResult, error) {
 	if len(active) == 0 {
 		return res, nil
 	}
+	// AsGiven rounds are contiguous runs of the active transfers, so both
+	// branches time round [lo, hi) the same way, in the same order.
+	lo := 0
+	if sp.colorings != nil {
+		shape, err := sp.colorings.Shape(sp.ws, demands, p.Wavelengths, sp.policy)
+		if err != nil {
+			return StepResult{}, err
+		}
+		res.Rounds = len(shape)
+		for _, rd := range shape {
+			sp.addRound(&res, active[lo:rd.End], rd.Colors)
+			lo = rd.End
+		}
+		return res, nil
+	}
 	rounds, err := sp.ws.RoundsReused(demands, p.Wavelengths, sp.policy, wdm.AsGiven)
 	if err != nil {
 		return StepResult{}, err
@@ -194,20 +224,29 @@ func (sp *StepPricer) Price(transfers []TransferSpec) (StepResult, error) {
 	res.Rounds = len(rounds)
 	res.Assignments = rounds
 	for _, rd := range rounds {
-		longest := 0.0
-		for _, di := range rd.Demands {
-			tr := active[di]
-			d := p.TransferSec(tr.Bytes, tr.Width, sp.topo.Hops(tr.Arc))
-			if d > longest {
-				longest = d
-			}
-		}
-		if rd.Assignment.NumColors > res.WavelengthsUsed {
-			res.WavelengthsUsed = rd.Assignment.NumColors
-		}
-		res.Duration += longest
+		hi := lo + len(rd.Demands)
+		sp.addRound(&res, active[lo:hi], rd.Assignment.NumColors)
+		lo = hi
 	}
 	return res, nil
+}
+
+// addRound charges one round of the step: its slowest transfer, and its
+// colors toward the step's peak.
+//
+//wrht:noalloc
+func (sp *StepPricer) addRound(res *StepResult, round []TransferSpec, colors int) {
+	longest := 0.0
+	for _, tr := range round {
+		d := sp.p.TransferSec(tr.Bytes, tr.Width, sp.topo.Hops(tr.Arc))
+		if d > longest {
+			longest = d
+		}
+	}
+	if colors > res.WavelengthsUsed {
+		res.WavelengthsUsed = colors
+	}
+	res.Duration += longest
 }
 
 // ClassSpec is one pricing equivalence class of a step: Count transfers of
@@ -231,8 +270,9 @@ type ClassSpec struct {
 //     subset fits one round and First Fit gives each transfer colors
 //     0..width-1, so the color count is the widest active class;
 //   - otherwise the full demand set must be the orbit replicated exactly
-//     (no zero-byte holes): the orbit is assigned once (memoized by shape)
-//     and its coloring replicates across the link-disjoint blocks.
+//     (no zero-byte holes): the orbit is assigned once (memoized in the
+//     coloring cache) and its coloring replicates across the link-disjoint
+//     blocks.
 //
 // ok=false (policy not First Fit, zero-byte holes without disjointness, or
 // an orbit that does not fit one round) means the caller must price the
@@ -283,8 +323,8 @@ func (sp *StepPricer) PriceSymmetric(orbit []wdm.Demand, classes []ClassSpec, di
 		// without pairwise disjointness its coloring is not the orbit's.
 		return StepResult{}, false, nil
 	}
-	if sp.sym == nil {
-		sp.sym = wdm.NewSymmetricAssigner(sp.topo)
+	if sp.colorings == nil {
+		sp.colorings = wdm.NewColoringCache()
 	}
 	sp.demands = sp.demands[:0]
 	for _, d := range orbit {
@@ -298,7 +338,7 @@ func (sp *StepPricer) PriceSymmetric(orbit []wdm.Demand, classes []ClassSpec, di
 		d.Width = w
 		sp.demands = append(sp.demands, d)
 	}
-	colors, ok, err := sp.sym.SingleRoundColors(sp.demands, p.Wavelengths)
+	colors, ok, err := sp.colorings.SingleRoundColors(sp.ws, sp.demands, p.Wavelengths)
 	if err != nil || !ok {
 		return StepResult{}, false, err
 	}

@@ -78,10 +78,12 @@ func DefaultOptions() Options {
 
 // TransferEvent is one simulated transmission.
 type TransferEvent struct {
-	Step        int
-	Src, Dst    int
-	Arc         ring.Arc
-	Bytes       int64
+	Step     int
+	Src, Dst int
+	Arc      ring.Arc
+	Bytes    int64
+	// Wavelengths is the transfer's stripe; transfers of steps with equal
+	// demand sets share it, so treat it as read-only.
 	Wavelengths []int
 	Start, End  float64
 }
@@ -154,7 +156,9 @@ func RunCompact(cs *collective.CompactSchedule, opts Options) (Result, error) {
 	low.arc = make([]ring.Arc, 0, total)
 	low.bytes = make([]int64, 0, total)
 	low.stripe = make([][]int, 0, total)
-	ws := wdm.NewWorkspace(topo)
+	// Steps with equal active demand sets (every ring step, every chunk
+	// round of a pipelined schedule) share one coloring and its stripes.
+	ws, colorings := wdm.NewWorkspace(topo), wdm.NewColoringCache()
 	var demands []wdm.Demand
 	for si := 0; si < numSteps; si++ {
 		lo, hi := cs.StepBounds(si)
@@ -184,7 +188,7 @@ func RunCompact(cs *collective.CompactSchedule, opts Options) (Result, error) {
 			demands = append(demands, wdm.Demand{Arc: arc, Width: width})
 		}
 		if len(demands) > 0 {
-			rounds, err := ws.Rounds(demands, opts.Params.Wavelengths, opts.Assigner, wdm.AsGiven)
+			rounds, err := colorings.Rounds(ws, demands, opts.Params.Wavelengths, opts.Assigner)
 			if err != nil {
 				return Result{}, fmt.Errorf("opticalsim: step %d: %w", si, err)
 			}

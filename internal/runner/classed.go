@@ -18,10 +18,12 @@ import (
 // O(transfers) to O(classes) per step; steps without a certificate — and
 // every step when the assigner is not First Fit or fabric replay is
 // requested — are materialized and priced by the exact per-transfer path.
-// Results are bit-identical to RunOpticalCompact on the materialized
-// schedule (golden and property tests enforce this).
+// Step colorings are memoized for the run, so repeated step patterns (the
+// chunk rounds of a pipelined schedule) are colored once. Results are
+// bit-identical to RunOpticalCompact on the materialized schedule (golden
+// and property tests enforce this).
 func RunOpticalClassed(cls *collective.ClassSchedule, opts OpticalOptions) (Result, error) {
-	return RunOpticalClassedObserved(cls, opts, nil, "")
+	return RunOpticalClassedObserved(cls, opts, nil, "", nil)
 }
 
 // RunOpticalClassedObserved is RunOpticalClassed with a flight recorder
@@ -30,7 +32,11 @@ func RunOpticalClassed(cls *collective.ClassSchedule, opts OpticalOptions) (Resu
 // used" counter track and symmetric-vs-materialized step counters. The
 // recorder never influences pricing — results are bit-identical to the
 // unobserved path — and a nil recorder costs one branch per step.
-func RunOpticalClassedObserved(cls *collective.ClassSchedule, opts OpticalOptions, rec *obs.Recorder, proc string) (Result, error) {
+//
+// colorings is the coloring cache the run looks steps up in and fills; nil
+// means a cache private to this run. Fabric replay needs every step's
+// stripes, so ValidateFabric bypasses the cache.
+func RunOpticalClassedObserved(cls *collective.ClassSchedule, opts OpticalOptions, rec *obs.Recorder, proc string, colorings *wdm.ColoringCache) (Result, error) {
 	if err := cls.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -65,6 +71,12 @@ func RunOpticalClassedObserved(cls *collective.ClassSchedule, opts OpticalOption
 	pricer, err := optical.NewStepPricer(topo, opts.Params, opts.Assigner)
 	if err != nil {
 		return Result{}, err
+	}
+	if fabric == nil {
+		if colorings == nil {
+			colorings = wdm.NewColoringCache()
+		}
+		pricer.UseColorings(colorings)
 	}
 	var (
 		specs, active []optical.TransferSpec

@@ -20,7 +20,7 @@ func TestObservedPricingBitIdentical(t *testing.T) {
 		optOpts := DefaultOpticalOptions()
 		rec := obs.New()
 		want, errWant := RunOpticalClassed(cls, optOpts)
-		got, errGot := RunOpticalClassedObserved(cls, optOpts, rec, "price optical "+s.Algorithm)
+		got, errGot := RunOpticalClassedObserved(cls, optOpts, rec, "price optical "+s.Algorithm, nil)
 		if (errWant == nil) != (errGot == nil) {
 			t.Fatalf("%s: optical error divergence: plain=%v observed=%v", s.Algorithm, errWant, errGot)
 		}
@@ -85,7 +85,7 @@ func TestObservedNilRecorderIdentical(t *testing.T) {
 		cls := cs.Classes()
 		opts := DefaultOpticalOptions()
 		want, err1 := RunOpticalClassed(cls, opts)
-		got, err2 := RunOpticalClassedObserved(cls, opts, nil, "")
+		got, err2 := RunOpticalClassedObserved(cls, opts, nil, "", nil)
 		if (err1 == nil) != (err2 == nil) || (err1 == nil && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("%s: nil-recorder observed path diverges", s.Algorithm)
 		}

@@ -16,7 +16,6 @@ package wdm
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"wrht/internal/ring"
@@ -478,24 +477,16 @@ func (ws *Workspace) roundsImpl(demands []Demand, w int, policy Policy, order Or
 // (the certificate collective.ClassSchedule carries), receives — under First
 // Fit in given order — exactly the orbit's coloring in every block. Solving
 // the orbit alone therefore yields the full step's round structure and color
-// count. Solutions are memoized by orbit shape (demand pattern + budget), so
-// the 2(N-1) identical steps of a ring schedule are assigned once.
+// count. Solutions are memoized in a private ColoringCache, so the 2(N-1)
+// identical steps of a ring schedule are assigned once.
 type SymmetricAssigner struct {
 	ws    *Workspace
-	arena []int
-	memo  map[uint64][]symEntry
-}
-
-type symEntry struct {
-	demands []Demand
-	w       int
-	colors  int
-	ok      bool
+	cache *ColoringCache
 }
 
 // NewSymmetricAssigner returns an assigner for the topology.
 func NewSymmetricAssigner(t ring.Topology) *SymmetricAssigner {
-	return &SymmetricAssigner{ws: NewWorkspace(t), memo: map[uint64][]symEntry{}}
+	return &SymmetricAssigner{ws: NewWorkspace(t), cache: NewColoringCache()}
 }
 
 // SingleRoundColors assigns the orbit demands under First Fit (as-given
@@ -504,70 +495,7 @@ func NewSymmetricAssigner(t ring.Topology) *SymmetricAssigner {
 // case symmetric pricing does not apply and the caller must fall back to the
 // materialized path. Widths must already be clamped to [1, w].
 func (sa *SymmetricAssigner) SingleRoundColors(orbit []Demand, w int) (colors int, ok bool, err error) {
-	h := shapeHash(orbit, w)
-	for _, e := range sa.memo[h] {
-		if e.w == w && slices.Equal(e.demands, orbit) {
-			return e.colors, e.ok, nil
-		}
-	}
-	colors, ok, err = sa.solve(orbit, w)
-	if err != nil {
-		return 0, false, err
-	}
-	sa.memo[h] = append(sa.memo[h], symEntry{
-		demands: slices.Clone(orbit), w: w, colors: colors, ok: ok,
-	})
-	return colors, ok, nil
-}
-
-func (sa *SymmetricAssigner) solve(orbit []Demand, w int) (int, bool, error) {
-	ws := sa.ws
-	ws.reset()
-	arena := sa.arena[:0]
-	colors := 0
-	for _, d := range orbit {
-		if d.Width < 1 || d.Width > w {
-			return 0, false, fmt.Errorf("wdm: symmetric demand %v width %d outside [1,%d]", d.Arc, d.Width, w)
-		}
-		links, err := ws.demandLinks(d.Arc)
-		if err != nil {
-			return 0, false, err
-		}
-		var stripe []int
-		arena, stripe, err = ws.place(links, d.Width, FirstFit, w, arena)
-		if err == errNoFit {
-			sa.arena = arena
-			return 0, false, nil
-		}
-		if err != nil {
-			return 0, false, err
-		}
-		for _, c := range stripe {
-			if c+1 > colors {
-				colors = c + 1
-			}
-		}
-	}
-	sa.arena = arena
-	return colors, true, nil
-}
-
-// shapeHash is an FNV-1a fingerprint of the orbit's demand pattern; memo
-// entries verify full equality, so collisions only cost a comparison.
-func shapeHash(orbit []Demand, w int) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
-	mix(uint64(w))
-	for _, d := range orbit {
-		mix(uint64(d.Arc.Src))
-		mix(uint64(d.Arc.Dst))
-		mix(uint64(d.Arc.Dir))
-		mix(uint64(d.Width))
-	}
-	return h
+	return sa.cache.SingleRoundColors(sa.ws, orbit, w)
 }
 
 // Validate checks that asg is a proper wavelength assignment for demands:

@@ -148,6 +148,7 @@ func (s MetricsSnapshot) tables() []*stats.Table {
 	cache.AddRowf("schedule", s.Cache.ScheduleHits, s.Cache.ScheduleBuilds)
 	cache.AddRowf("simulation", s.Cache.SimulationHits, s.Cache.SimulationRuns)
 	cache.AddRowf("fabric-runtime", s.Cache.FabricRuntimeHits, s.Cache.FabricRuntimeBuilds)
+	cache.AddRowf("coloring", s.Cache.ColoringHits, s.Cache.ColoringBuilds)
 	out := []*stats.Table{cache}
 
 	counters := stats.NewTable("Counters", "name", "value")

@@ -10,11 +10,15 @@ import (
 	"wrht/internal/exp"
 	"wrht/internal/obs"
 	"wrht/internal/runner"
+	"wrht/internal/wdm"
 )
 
 // session bundles the three memoization layers of the simulate fast path —
 // plan → schedule → simulation (internal/exp) — plus the fabric runtime
-// cache built on top of them. All layers are safe for concurrent use; a nil
+// cache built on top of them and the WDM coloring cache below them, which
+// every optical simulation of the session shares (a step pattern recurring
+// across buffer sizes, models, or pipelined chunk rounds is colored once).
+// All layers are safe for concurrent use; a nil
 // *session disables caching (methods fall through to direct computation), so
 // every pricing helper takes a session and works in both modes.
 type session struct {
@@ -22,6 +26,10 @@ type session struct {
 	scheds *exp.ScheduleCache
 	sims   *exp.SimCache
 	fabric *fabricCache
+	// colorings is passed to the optical runner as its own argument, never
+	// through exp.SimKey: sim keys name recorder processes, so they must
+	// stay plain values.
+	colorings *wdm.ColoringCache
 	// rec is the session's flight recorder; a nil load (the default)
 	// disables observability at zero cost beyond the atomic read. The
 	// pointer is atomic so SweepSession.Observe is safe to race with
@@ -64,9 +72,10 @@ func (s *session) simProc(key exp.SimKey) string {
 // newSession returns an empty session.
 func newSession() *session {
 	s := &session{
-		plans:  exp.NewPlanCache(),
-		scheds: exp.NewScheduleCache(),
-		sims:   exp.NewSimCache(),
+		plans:     exp.NewPlanCache(),
+		scheds:    exp.NewScheduleCache(),
+		sims:      exp.NewSimCache(),
+		colorings: wdm.NewColoringCache(),
 	}
 	s.fabric = newFabricCacheWith(s)
 	return s
@@ -98,7 +107,7 @@ func (s *session) simOptical(key exp.ScheduleKey, cls *collective.ClassSchedule,
 	}
 	simKey := exp.SimKey{Sched: key, OptOpts: opts}
 	return s.sims.Run(simKey, func() (runner.Result, error) {
-		return runner.RunOpticalClassedObserved(cls, opts, s.recorder(), s.simProc(simKey))
+		return runner.RunOpticalClassedObserved(cls, opts, s.recorder(), s.simProc(simKey), s.colorings)
 	})
 }
 
@@ -198,6 +207,9 @@ type CacheStats struct {
 	// curve lookups — the memoized (config, algorithm, bytes, width) →
 	// seconds entries that fabric co-simulations price tenants through.
 	FabricRuntimeHits, FabricRuntimeBuilds int64
+	// ColoringHits/Builds count the WDM coloring cache's lookups: steps
+	// whose demand set was already colored, and demand sets colored.
+	ColoringHits, ColoringBuilds int64
 }
 
 // Stats returns the session's cumulative cache counters.
@@ -207,5 +219,6 @@ func (ss *SweepSession) Stats() CacheStats {
 	st.ScheduleHits, st.ScheduleBuilds = ss.sess.scheds.Stats()
 	st.SimulationHits, st.SimulationRuns = ss.sess.sims.Stats()
 	st.FabricRuntimeHits, st.FabricRuntimeBuilds = ss.sess.fabric.Stats()
+	st.ColoringHits, st.ColoringBuilds = ss.sess.colorings.Stats()
 	return st
 }

@@ -526,14 +526,7 @@ func communicationTime(cfg Config, alg Algorithm, bytes int64, sess *session) (R
 		return out, cls, nil
 	}
 
-	opts := runner.DefaultOpticalOptions()
-	opts.Params = cfg.Optical
-	opts.BytesPerElem = cfg.BytesPerElem
-	opts.Assigner = wdm.FirstFit
-	if alg == AlgORingStriped {
-		opts.DefaultWidth = cfg.Optical.Wavelengths
-	}
-	res, err := sess.simOptical(key, cls, opts)
+	res, err := sess.simOptical(key, cls, opticalOptions(cfg, alg))
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -552,6 +545,19 @@ func communicationTime(cfg Config, alg Algorithm, bytes int64, sess *session) (R
 	}
 
 	return out, cls, nil
+}
+
+// opticalOptions is the substrate configuration an optical algorithm is
+// priced under: First Fit, and full-budget stripes for striped O-Ring.
+func opticalOptions(cfg Config, alg Algorithm) runner.OpticalOptions {
+	opts := runner.DefaultOpticalOptions()
+	opts.Params = cfg.Optical
+	opts.BytesPerElem = cfg.BytesPerElem
+	opts.Assigner = wdm.FirstFit
+	if alg == AlgORingStriped {
+		opts.DefaultWidth = cfg.Optical.Wavelengths
+	}
+	return opts
 }
 
 // Compare prices several algorithms on the same buffer, sharing one session
