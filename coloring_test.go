@@ -60,11 +60,11 @@ func TestColoringCacheBitIdentical(t *testing.T) {
 				if err != nil {
 					continue // e.g. no Wrht plan fits a one-wavelength budget
 				}
-				cs := cls.Expand().Compact()
+				boxed := cls.Expand()
 				for _, policy := range []wdm.Policy{wdm.FirstFit, wdm.BestFit} {
 					opts := opticalOptions(cfg, alg)
 					opts.Assigner = policy
-					want, errWant := runner.RunOpticalCompact(cs, opts)
+					want, errWant := runner.RunOptical(boxed, opts)
 					got, errGot := runner.RunOpticalClassedObserved(cls, opts, nil, "", colorings)
 					if (errWant == nil) != (errGot == nil) {
 						t.Fatalf("trial %d %s N=%d W=%d elems=%d %v: error divergence: cache-free %v, cached %v",
@@ -79,7 +79,6 @@ func TestColoringCacheBitIdentical(t *testing.T) {
 					}
 					priced[alg]++
 				}
-				cs.Release()
 				cls.Release()
 			}
 		}

@@ -73,11 +73,11 @@ func EventLevelTime(cfg Config, alg Algorithm, bytes int64, async bool) (Result,
 	if isElectrical(alg) {
 		return Result{}, fmt.Errorf("wrht: EventLevelTime supports optical algorithms only, got %q", alg)
 	}
-	if bytes <= 0 {
-		return Result{}, fmt.Errorf("wrht: non-positive buffer size %d", bytes)
+	elems, err := bufferElems(bytes, cfg.BytesPerElem)
+	if err != nil {
+		return Result{}, err
 	}
-	elems := int((bytes + int64(cfg.BytesPerElem) - 1) / int64(cfg.BytesPerElem))
-	cs, _, err := buildCompactSchedule(cfg, alg, elems)
+	cs, err := buildCompactSchedule(cfg, alg, elems)
 	if err != nil {
 		return Result{}, err
 	}

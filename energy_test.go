@@ -1,10 +1,14 @@
 package wrht
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"wrht/internal/runner"
 )
 
 func TestEnergyEstimateOrdering(t *testing.T) {
@@ -66,6 +70,61 @@ func TestEventLevelTimeBarrierMatchesStepModel(t *testing.T) {
 	if !strings.Contains(async.Substrate, "async") {
 		t.Fatalf("substrate label %q", async.Substrate)
 	}
+}
+
+// TestEventLevelTimeEveryOpticalAlgorithm: for every optical algorithm,
+// barrier mode equals CommunicationTime when no step splits into extra
+// wavelength rounds, and is never slower when one does.
+func TestEventLevelTimeEveryOpticalAlgorithm(t *testing.T) {
+	equal, split := 0, 0
+	for _, alg := range opticalAlgorithms() {
+		for _, n := range []int{7, 13, 16, 24, 31, 64, 97, 128} {
+			for _, w := range []int{1, 2, 8, 16, 64} {
+				cfg := DefaultConfig(n)
+				cfg.Optical.Wavelengths = w
+				for _, bytes := range []int64{4, 1 << 10, 1 << 20} {
+					where := fmt.Sprintf("%s N=%d W=%d bytes=%d", alg, n, w, bytes)
+					step, err := CommunicationTime(cfg, alg, bytes)
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					ev, err := EventLevelTime(cfg, alg, bytes, false)
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					elems, err := bufferElems(bytes, cfg.BytesPerElem)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cls, _, _, err := buildClassSchedule(cfg, alg, elems, nil)
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					r, err := runner.RunOpticalClassed(cls, opticalOptions(cfg, alg))
+					cls.Release()
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					if r.ExtraRounds == 0 {
+						equal++
+						if math.Abs(ev.Seconds-step.Seconds) > 1e-12*step.Seconds {
+							t.Errorf("%s: barrier %.17g, step model %.17g", where, ev.Seconds, step.Seconds)
+						}
+					} else {
+						split++
+						if ev.Seconds > step.Seconds*(1+1e-12) {
+							t.Errorf("%s: %d extra rounds, barrier %.17g slower than step model %.17g",
+								where, r.ExtraRounds, ev.Seconds, step.Seconds)
+						}
+					}
+				}
+			}
+		}
+	}
+	if equal == 0 || split == 0 {
+		t.Fatalf("grid covers %d one-round and %d split points; want both", equal, split)
+	}
+	t.Logf("%d one-round points, %d split points", equal, split)
 }
 
 func TestEventLevelTimeRejectsElectrical(t *testing.T) {

@@ -17,7 +17,11 @@ func referenceCommunicationTime(cfg Config, alg Algorithm, bytes int64) (Result,
 		return Result{}, err
 	}
 	elems := int((bytes + int64(cfg.BytesPerElem) - 1) / int64(cfg.BytesPerElem))
-	s, _, err := buildSchedule(cfg, alg, elems, core.BuildPlan)
+	l, err := lower(cfg, alg, core.BuildPlan)
+	if err != nil {
+		return Result{}, err
+	}
+	s, err := l.boxed(elems)
 	if err != nil {
 		return Result{}, err
 	}

@@ -11,9 +11,9 @@ import (
 	"fmt"
 )
 
-// Schedule is the accounting view of a collective schedule; both
-// *collective.Schedule and *collective.CompactSchedule satisfy it, so the
-// estimators accept either representation.
+// Schedule is the accounting view of a collective schedule. EnergyEstimate
+// passes the *collective.ClassSchedule it priced; the boxed and compact
+// schedule forms satisfy it too.
 type Schedule interface {
 	// TotalTrafficElems is the total number of elements moved.
 	TotalTrafficElems() int64

@@ -221,7 +221,7 @@ func TestScheduleCacheSharing(t *testing.T) {
 }
 
 func TestSimCacheSharing(t *testing.T) {
-	cs, err := collective.RingAllReduceCompact(8, 64)
+	cls, err := collective.RingAllReduceClassed(8, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestSimCacheSharing(t *testing.T) {
 	runs := 0
 	run := func() (runner.Result, error) {
 		runs++
-		return runner.RunOpticalCompact(cs, runner.DefaultOpticalOptions())
+		return runner.RunOpticalClassed(cls, runner.DefaultOpticalOptions())
 	}
 	r1, err := c.Run(key, run)
 	if err != nil {
@@ -256,7 +256,7 @@ func TestSimCacheSharing(t *testing.T) {
 		runs++
 		o := runner.DefaultOpticalOptions()
 		o.DefaultWidth = 8
-		return runner.RunOpticalCompact(cs, o)
+		return runner.RunOpticalClassed(cls, o)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestSimCacheSharing(t *testing.T) {
 }
 
 func TestSimCacheConcurrentSingleRun(t *testing.T) {
-	cs, err := collective.RingAllReduceCompact(16, 256)
+	cls, err := collective.RingAllReduceClassed(16, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestSimCacheConcurrentSingleRun(t *testing.T) {
 			defer wg.Done()
 			r, err := c.Run(key, func() (runner.Result, error) {
 				atomic.AddInt64(&runs, 1)
-				return runner.RunOpticalCompact(cs, runner.DefaultOpticalOptions())
+				return runner.RunOpticalClassed(cls, runner.DefaultOpticalOptions())
 			})
 			if err != nil {
 				t.Error(err)

@@ -7,9 +7,12 @@
 //
 // Two execution modes:
 //
-//   - Barrier: every step is a global barrier, exactly matching the
-//     step-synchronous cost model (tests assert equality with
-//     runner.RunOptical to float precision).
+//   - Barrier: every step is a global barrier. When every step fits the
+//     wavelength budget in one round, this matches the step-synchronous
+//     cost model (runner.RunOptical) up to floating-point rounding. When a
+//     step splits into sequential rounds, the cost model serializes the
+//     rounds, while barrier mode starts each later-round transfer as soon
+//     as its own wavelengths are free, so it is never slower.
 //   - Async: a node starts its step-s transfers as soon as it — and the
 //     peer — has finished their own step-(s-1) obligations; wavelengths are
 //     granted greedily from the fabric's earliest-free time. Async removes
@@ -170,10 +173,7 @@ func RunCompact(cs *collective.CompactSchedule, opts Options) (Result, error) {
 			if bytes == 0 {
 				continue
 			}
-			arc := ring.Arc{Src: tr.Src, Dst: tr.Dst, Dir: tr.Dir}
-			if !tr.Routed {
-				arc = topo.ShortestArc(tr.Src, tr.Dst)
-			}
+			arc := topo.Route(tr.Src, tr.Dst, tr.Dir, tr.Routed)
 			width := tr.Width
 			if width < 1 {
 				width = opts.DefaultWidth

@@ -134,6 +134,15 @@ func (t Topology) ShortestArc(src, dst int) Arc {
 	return Arc{Src: src, Dst: dst, Dir: t.ShortestDir(src, dst)}
 }
 
+// Route returns the arc a transfer from src to dst travels: pinned to dir
+// when routed, otherwise the shortest arc.
+func (t Topology) Route(src, dst int, dir Direction, routed bool) Arc {
+	if !routed {
+		return t.ShortestArc(src, dst)
+	}
+	return Arc{Src: src, Dst: dst, Dir: dir}
+}
+
 // Hops returns the number of links the arc traverses.
 func (t Topology) Hops(a Arc) int { return t.Dist(a.Src, a.Dst, a.Dir) }
 

@@ -185,6 +185,12 @@ func TestShortestArcHops(t *testing.T) {
 			if h := top.Hops(a); h > 6 {
 				t.Fatalf("ShortestArc(%d,%d) has %d hops", src, dst, h)
 			}
+			if r := top.Route(src, dst, CCW, false); r != a {
+				t.Fatalf("unrouted Route(%d,%d) = %v, want shortest %v", src, dst, r, a)
+			}
+			if r := top.Route(src, dst, CCW, true); r != (Arc{Src: src, Dst: dst, Dir: CCW}) {
+				t.Fatalf("routed Route(%d,%d) = %v, want it pinned CCW", src, dst, r)
+			}
 		}
 	}
 }

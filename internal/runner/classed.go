@@ -11,17 +11,17 @@ import (
 	"wrht/internal/wdm"
 )
 
-// RunOpticalClassed is RunOpticalCompact on the symmetry-aware classed
-// schedule form: steps carrying a verified rotational-symmetry certificate
-// are priced from one representative per equivalence class (plus one orbit
+// RunOpticalClassed prices the symmetry-aware classed schedule form on the
+// WDM ring: steps carrying a verified rotational-symmetry certificate are
+// priced from one representative per equivalence class (plus one orbit
 // wavelength assignment, memoized by shape), turning the hot path from
 // O(transfers) to O(classes) per step; steps without a certificate — and
 // every step when the assigner is not First Fit or fabric replay is
 // requested — are materialized and priced by the exact per-transfer path.
 // Step colorings are memoized for the run, so repeated step patterns (the
 // chunk rounds of a pipelined schedule) are colored once. Results are
-// bit-identical to RunOpticalCompact on the materialized schedule (golden
-// and property tests enforce this).
+// bit-identical to RunOptical on the expanded schedule (golden and property
+// tests enforce this).
 func RunOpticalClassed(cls *collective.ClassSchedule, opts OpticalOptions) (Result, error) {
 	return RunOpticalClassedObserved(cls, opts, nil, "", nil)
 }
@@ -40,17 +40,8 @@ func RunOpticalClassedObserved(cls *collective.ClassSchedule, opts OpticalOption
 	if err := cls.Validate(); err != nil {
 		return Result{}, err
 	}
-	if opts.BytesPerElem == 0 {
-		opts.BytesPerElem = 4
-	}
-	if opts.BytesPerElem < 1 {
-		return Result{}, fmt.Errorf("runner: BytesPerElem %d", opts.BytesPerElem)
-	}
-	if opts.DefaultWidth < 0 {
-		return Result{}, fmt.Errorf("runner: DefaultWidth %d", opts.DefaultWidth)
-	}
-	if opts.DefaultWidth == 0 {
-		opts.DefaultWidth = 1
+	if err := opts.normalize(); err != nil {
+		return Result{}, err
 	}
 	topo, err := ring.New(cls.N)
 	if err != nil {
@@ -113,14 +104,10 @@ func RunOpticalClassedObserved(cls *collective.ClassSchedule, opts OpticalOption
 			olo, ohi := cls.OrbitBounds(si)
 			for i := olo; i < ohi; i++ {
 				src, dst, width, dir, routed := cls.OrbitAt(i)
-				arc := ring.Arc{Src: src, Dst: dst, Dir: dir}
-				if !routed {
-					arc = topo.ShortestArc(src, dst)
-				}
 				if width == 0 {
 					width = opts.DefaultWidth
 				}
-				orbit = append(orbit, wdm.Demand{Arc: arc, Width: width})
+				orbit = append(orbit, wdm.Demand{Arc: topo.Route(src, dst, dir, routed), Width: width})
 			}
 			sr, priced, err = pricer.PriceSymmetric(orbit, classes, disjoint)
 			if err != nil {
@@ -130,16 +117,12 @@ func RunOpticalClassedObserved(cls *collective.ClassSchedule, opts OpticalOption
 		if !priced {
 			specs = specs[:0]
 			cls.ForEachTransfer(si, func(tr collective.Transfer) {
-				arc := ring.Arc{Src: tr.Src, Dst: tr.Dst, Dir: tr.Dir}
-				if !tr.Routed {
-					arc = topo.ShortestArc(tr.Src, tr.Dst)
-				}
 				width := tr.Width
 				if width == 0 {
 					width = opts.DefaultWidth
 				}
 				specs = append(specs, optical.TransferSpec{
-					Arc:   arc,
+					Arc:   topo.Route(tr.Src, tr.Dst, tr.Dir, tr.Routed),
 					Bytes: int64(tr.Region.Len) * int64(opts.BytesPerElem),
 					Width: width,
 				})
@@ -155,14 +138,7 @@ func RunOpticalClassedObserved(cls *collective.ClassSchedule, opts OpticalOption
 				}
 			}
 		}
-		res.StepSec = append(res.StepSec, sr.Duration)
-		res.TotalSec += sr.Duration
-		if sr.WavelengthsUsed > res.MaxWavelengths {
-			res.MaxWavelengths = sr.WavelengthsUsed
-		}
-		if sr.Rounds > 1 {
-			res.ExtraRounds += sr.Rounds - 1
-		}
+		res.addOpticalStep(sr)
 		if rec.Enabled() {
 			nClasses := 0
 			if priced {
@@ -189,8 +165,9 @@ func RunOpticalClassedObserved(cls *collective.ClassSchedule, opts OpticalOption
 	return res, nil
 }
 
-// RunElectricalClassed is RunElectricalCompact on the classed schedule:
-// steps certified as partial permutations on the default non-blocking
+// RunElectricalClassed prices the classed schedule on the electrical
+// substrate, bit-identically to RunElectrical on the expanded schedule: steps
+// certified as partial permutations on the default non-blocking
 // cluster are priced through the class-level fluid solver (one
 // representative flow per class, bit-identical by the symmetry of max-min
 // fairness); everything else — including every step on a custom Network —
@@ -207,25 +184,11 @@ func RunElectricalClassedObserved(cls *collective.ClassSchedule, opts Electrical
 	if err := cls.Validate(); err != nil {
 		return Result{}, err
 	}
-	if opts.BytesPerElem == 0 {
-		opts.BytesPerElem = 4
-	}
-	if opts.BytesPerElem < 1 {
-		return Result{}, fmt.Errorf("runner: BytesPerElem %d", opts.BytesPerElem)
-	}
 	defaultNet := opts.Network == nil
+	if err := opts.normalize(cls.N); err != nil {
+		return Result{}, err
+	}
 	nw := opts.Network
-	if defaultNet {
-		var err error
-		nw, err = electrical.NewSwitchedCluster(cls.N, opts.Params.LinkGbps)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	if nw.NumNodes() != cls.N {
-		return Result{}, fmt.Errorf("runner: network has %d hosts, schedule needs %d",
-			nw.NumNodes(), cls.N)
-	}
 	res := Result{
 		Algorithm: cls.Algorithm,
 		Substrate: nw.Name(),

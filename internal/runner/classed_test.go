@@ -72,8 +72,8 @@ func classedGoldenCases(t *testing.T) []*collective.Schedule {
 }
 
 // TestRunOpticalClassedGoldenEquality: classed optical pricing — certificate
-// fast path and verified fallback alike — is bit-identical to the compact
-// path, across assignment policies and stripe-width defaults.
+// fast path and verified fallback alike — is bit-identical to the boxed
+// reference runner, across assignment policies and stripe-width defaults.
 func TestRunOpticalClassedGoldenEquality(t *testing.T) {
 	for _, s := range classedGoldenCases(t) {
 		cs := s.Compact()
@@ -83,10 +83,10 @@ func TestRunOpticalClassedGoldenEquality(t *testing.T) {
 				opts := DefaultOpticalOptions()
 				opts.Assigner = policy
 				opts.DefaultWidth = dw
-				want, errWant := RunOpticalCompact(cs, opts)
+				want, errWant := RunOptical(s, opts)
 				got, errGot := RunOpticalClassed(cls, opts)
 				if (errWant == nil) != (errGot == nil) {
-					t.Fatalf("%s (policy=%v dw=%d): error divergence: compact=%v classed=%v",
+					t.Fatalf("%s (policy=%v dw=%d): error divergence: boxed=%v classed=%v",
 						s.Algorithm, policy, dw, errWant, errGot)
 				}
 				if errWant != nil {
@@ -105,8 +105,9 @@ func TestRunOpticalClassedGoldenEquality(t *testing.T) {
 
 // TestRunElectricalClassedGoldenEquality: classed electrical pricing — the
 // class-level fluid solve on permutation steps, the per-flow fallback
-// everywhere else — is bit-identical to the compact path on the default
-// cluster and on a custom ring network (where the quotient never applies).
+// everywhere else — is bit-identical to the boxed reference runner on the
+// default cluster and on a custom ring network (where the quotient never
+// applies).
 func TestRunElectricalClassedGoldenEquality(t *testing.T) {
 	for _, s := range classedGoldenCases(t) {
 		cs := s.Compact()
@@ -117,10 +118,10 @@ func TestRunElectricalClassedGoldenEquality(t *testing.T) {
 		}
 		for _, nw := range nets {
 			opts := ElectricalOptions{Params: electrical.DefaultParams(), Network: nw}
-			want, errWant := RunElectricalCompact(cs, opts)
+			want, errWant := RunElectrical(s, opts)
 			got, errGot := RunElectricalClassed(cls, opts)
 			if (errWant == nil) != (errGot == nil) {
-				t.Fatalf("%s: error divergence: compact=%v classed=%v", s.Algorithm, errWant, errGot)
+				t.Fatalf("%s: error divergence: boxed=%v classed=%v", s.Algorithm, errWant, errGot)
 			}
 			if errWant != nil {
 				continue
@@ -137,16 +138,16 @@ func TestRunElectricalClassedGoldenEquality(t *testing.T) {
 
 // TestRunOpticalClassedFabricReplay: with fabric validation requested the
 // classed runner materializes every step; results (and the reservation
-// ledger's accept/reject behavior) match the compact path exactly.
+// ledger's accept/reject behavior) match the boxed reference runner exactly.
 func TestRunOpticalClassedFabricReplay(t *testing.T) {
 	for _, s := range goldenSchedules(t) {
 		cs := s.Compact()
 		cls := cs.Classes()
 		opts := DefaultOpticalOptions()
 		opts.ValidateFabric = true
-		want, err := RunOpticalCompact(cs, opts)
+		want, err := RunOptical(s, opts)
 		if err != nil {
-			t.Fatalf("%s: compact: %v", s.Algorithm, err)
+			t.Fatalf("%s: boxed: %v", s.Algorithm, err)
 		}
 		got, err := RunOpticalClassed(cls, opts)
 		if err != nil {
@@ -170,12 +171,11 @@ func TestRunClassedRingDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs := boxed.Compact()
 			cls, err := collective.RingAllReduceClassed(n, elems)
 			if err != nil {
 				t.Fatal(err)
 			}
-			oWant, err := RunOpticalCompact(cs, DefaultOpticalOptions())
+			oWant, err := RunOptical(boxed, DefaultOpticalOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +187,7 @@ func TestRunClassedRingDirect(t *testing.T) {
 				t.Fatalf("n=%d elems=%d: classed ring optical diverges", n, elems)
 			}
 			eOpts := ElectricalOptions{Params: electrical.DefaultParams()}
-			eWant, err := RunElectricalCompact(cs, eOpts)
+			eWant, err := RunElectrical(boxed, eOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +199,6 @@ func TestRunClassedRingDirect(t *testing.T) {
 				t.Fatalf("n=%d elems=%d: classed ring electrical diverges", n, elems)
 			}
 			cls.Release()
-			cs.Release()
 		}
 	}
 }

@@ -1,12 +1,10 @@
 package runner
 
 import (
-	"reflect"
 	"testing"
 
 	"wrht/internal/collective"
 	"wrht/internal/core"
-	"wrht/internal/electrical"
 )
 
 // goldenSchedules builds a representative spread of schedules: ring, RD, HD,
@@ -38,58 +36,4 @@ func goldenSchedules(t *testing.T) []*collective.Schedule {
 		out = append(out, s)
 	}
 	return out
-}
-
-// TestRunOpticalCompactGoldenEquality: the compact fast path is bit-identical
-// to the historical boxed path — total, per-step durations, wavelength
-// metrics — including with fabric replay validation on.
-func TestRunOpticalCompactGoldenEquality(t *testing.T) {
-	for _, s := range goldenSchedules(t) {
-		for _, validate := range []bool{false, true} {
-			opts := DefaultOpticalOptions()
-			opts.ValidateFabric = validate
-			want, err := RunOptical(s, opts)
-			if err != nil {
-				t.Fatalf("%s: boxed: %v", s.Algorithm, err)
-			}
-			cs := s.Compact()
-			got, err := RunOpticalCompact(cs, opts)
-			if err != nil {
-				t.Fatalf("%s: compact: %v", s.Algorithm, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s (validate=%v): compact optical result diverges\n got %+v\nwant %+v",
-					s.Algorithm, validate, got, want)
-			}
-			cs.Release()
-		}
-	}
-}
-
-// TestRunElectricalCompactGoldenEquality mirrors the optical golden test on
-// the electrical substrate, on the default cluster and a custom network.
-func TestRunElectricalCompactGoldenEquality(t *testing.T) {
-	for _, s := range goldenSchedules(t) {
-		nets := []*electrical.Network{nil}
-		if ringNet, err := electrical.NewRingNetwork(s.N, 100); err == nil {
-			nets = append(nets, ringNet)
-		}
-		for _, nw := range nets {
-			opts := ElectricalOptions{Params: electrical.DefaultParams(), Network: nw}
-			want, err := RunElectrical(s, opts)
-			if err != nil {
-				t.Fatalf("%s: boxed: %v", s.Algorithm, err)
-			}
-			cs := s.Compact()
-			got, err := RunElectricalCompact(cs, opts)
-			if err != nil {
-				t.Fatalf("%s: compact: %v", s.Algorithm, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: compact electrical result diverges\n got %+v\nwant %+v",
-					s.Algorithm, got, want)
-			}
-			cs.Release()
-		}
-	}
 }

@@ -41,9 +41,6 @@ func multiRackTime(cfg Config, racks, nodesPerRack int, bytes int64, build planB
 	if err := cfg.Electrical.Validate(); err != nil {
 		return MultiRackResult{}, err
 	}
-	if bytes <= 0 {
-		return MultiRackResult{}, fmt.Errorf("wrht: non-positive buffer size %d", bytes)
-	}
 	bpe := cfg.BytesPerElem
 	if bpe == 0 {
 		bpe = 4
@@ -53,6 +50,10 @@ func multiRackTime(cfg Config, racks, nodesPerRack int, bytes int64, build planB
 		// only the zero value means "default", a negative width is an error,
 		// not a silent negative element count.
 		return MultiRackResult{}, fmt.Errorf("wrht: BytesPerElem %d", cfg.BytesPerElem)
+	}
+	elems, err := bufferElems(bytes, bpe)
+	if err != nil {
+		return MultiRackResult{}, err
 	}
 	opts := core.DefaultOptions()
 	opts.Cost = model.CostParamsOf(cfg.Optical)
@@ -65,7 +66,6 @@ func multiRackTime(cfg Config, racks, nodesPerRack int, bytes int64, build planB
 	if err != nil {
 		return MultiRackResult{}, err
 	}
-	elems := int((bytes + int64(bpe) - 1) / int64(bpe))
 	tb, err := plan.Time(elems, cfg.Optical, cfg.Electrical)
 	if err != nil {
 		return MultiRackResult{}, err

@@ -241,10 +241,10 @@ func InspectScheduleClasses(cfg Config, alg Algorithm, bytes int64) (ScheduleCla
 	if err := cfg.Validate(); err != nil {
 		return ScheduleClassStats{}, err
 	}
-	if bytes <= 0 {
-		return ScheduleClassStats{}, fmt.Errorf("wrht: non-positive buffer size %d", bytes)
+	elems, err := bufferElems(bytes, cfg.BytesPerElem)
+	if err != nil {
+		return ScheduleClassStats{}, err
 	}
-	elems := int((bytes + int64(cfg.BytesPerElem) - 1) / int64(cfg.BytesPerElem))
 	cls, _, _, err := buildClassSchedule(cfg, alg, elems, nil)
 	if err != nil {
 		return ScheduleClassStats{}, err

@@ -32,11 +32,15 @@ func ScheduleOutline(cfg Config, alg Algorithm, bytes int64) ([]StepOutline, err
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if bytes <= 0 {
-		return nil, fmt.Errorf("wrht: non-positive buffer size %d", bytes)
+	elems, err := bufferElems(bytes, cfg.BytesPerElem)
+	if err != nil {
+		return nil, err
 	}
-	elems := int((bytes + int64(cfg.BytesPerElem) - 1) / int64(cfg.BytesPerElem))
-	s, _, err := buildSchedule(cfg, alg, elems, core.BuildPlan)
+	l, err := lower(cfg, alg, core.BuildPlan)
+	if err != nil {
+		return nil, err
+	}
+	s, err := l.boxed(elems)
 	if err != nil {
 		return nil, err
 	}
@@ -45,12 +49,7 @@ func ScheduleOutline(cfg Config, alg Algorithm, bytes int64) ([]StepOutline, err
 		return nil, err
 	}
 
-	opts := runner.DefaultOpticalOptions()
-	opts.Params = cfg.Optical
-	opts.BytesPerElem = cfg.BytesPerElem
-	if alg == AlgORingStriped {
-		opts.DefaultWidth = cfg.Optical.Wavelengths
-	}
+	opts := opticalOptions(cfg, alg)
 	res, err := runner.RunOptical(s, opts)
 	if err != nil {
 		return nil, err
@@ -69,10 +68,7 @@ func ScheduleOutline(cfg Config, alg Algorithm, bytes int64) ([]StepOutline, err
 			if tr.Region.Len == 0 {
 				continue
 			}
-			arc := ring.Arc{Src: tr.Src, Dst: tr.Dst, Dir: tr.Dir}
-			if !tr.Routed {
-				arc = topo.ShortestArc(tr.Src, tr.Dst)
-			}
+			arc := topo.Route(tr.Src, tr.Dst, tr.Dir, tr.Routed)
 			width := tr.Width
 			if width < 1 {
 				width = opts.DefaultWidth

@@ -282,107 +282,119 @@ func pipelineChunks(cfg Config) int {
 	return cfg.PipelineChunks
 }
 
-// schedName maps an algorithm to its schedule constructor's identity for
-// the cross-run schedule cache: E-Ring, O-Ring, and striped O-Ring all
-// lower to the same ring schedule, RD/HD/Binomial to theirs; the Wrht
-// variants are identified by their plan signature instead ("").
-func schedName(alg Algorithm) string {
+// lowering is how an algorithm's schedules are built: its identity in the
+// cross-run schedule cache, the Wrht plan behind it (nil for the baselines),
+// and its boxed schedule constructor.
+type lowering struct {
+	// name is the schedule-cache identity: E-Ring, O-Ring, and striped
+	// O-Ring all lower to the same ring schedule ("ring"); Wrht plans are
+	// identified by their signature instead ("").
+	name  string
+	plan  *core.Plan
+	boxed func(elems int) (*collective.Schedule, error)
+	// direct is set when a generator emits the compact and classed forms
+	// without a boxed schedule: rings and unpipelined Wrht plans.
+	direct bool
+}
+
+// lower maps alg to its lowering, building a Wrht plan through build. It is
+// the one place an Algorithm is turned into a schedule source, and it
+// rejects unknown algorithms before any cache is consulted.
+func lower(cfg Config, alg Algorithm, build planBuilder) (lowering, error) {
+	n := cfg.Nodes
 	switch alg {
 	case AlgERing, AlgORing, AlgORingStriped:
-		return "ring"
+		return lowering{name: "ring", direct: true, boxed: func(elems int) (*collective.Schedule, error) {
+			return collective.RingAllReduce(n, elems)
+		}}, nil
 	case AlgRD:
-		return "rd"
+		return lowering{name: "rd", boxed: func(elems int) (*collective.Schedule, error) {
+			return collective.RecursiveDoubling(n, elems)
+		}}, nil
 	case AlgHD:
-		return "hd"
+		return lowering{name: "hd", boxed: func(elems int) (*collective.Schedule, error) {
+			return collective.HalvingDoubling(n, elems)
+		}}, nil
 	case AlgBinomial:
-		return "binomial"
+		return lowering{name: "binomial", boxed: func(elems int) (*collective.Schedule, error) {
+			return collective.BinomialTree(n, elems)
+		}}, nil
+	case AlgWrht, AlgWrhtUnstriped, AlgWrhtPipelined:
+		plan, err := build(n, cfg.Optical.Wavelengths, wrhtOptions(cfg, alg))
+		if err != nil {
+			return lowering{}, err
+		}
+		if alg == AlgWrhtPipelined {
+			chunks := pipelineChunks(cfg)
+			return lowering{plan: plan, boxed: func(elems int) (*collective.Schedule, error) {
+				return plan.PipelinedSchedule(elems, chunks)
+			}}, nil
+		}
+		return lowering{plan: plan, boxed: plan.Schedule, direct: true}, nil
 	default:
-		return ""
+		return lowering{}, fmt.Errorf("wrht: unknown algorithm %q", alg)
 	}
 }
 
-// buildCompactSchedule constructs the columnar (per-transfer) schedule and
-// optional Wrht plan for alg — the form the message-level event simulator
-// consumes (EventLevelTime); the caller owns the schedule. The dispatch
-// mirrors buildSchedule/buildClassSchedule but keeps the direct columnar
-// generators (RingAllReduceCompact, Plan.CompactSchedule) so the event-sim
-// path never materializes boxed per-transfer objects.
-func buildCompactSchedule(cfg Config, alg Algorithm, elems int) (*collective.CompactSchedule, *core.Plan, error) {
-	switch alg {
-	case AlgERing, AlgORing, AlgORingStriped:
-		cs, err := collective.RingAllReduceCompact(cfg.Nodes, elems)
-		return cs, nil, err
-	case AlgRD:
-		cs, err := compactOf(collective.RecursiveDoubling(cfg.Nodes, elems))
-		return cs, nil, err
-	case AlgHD:
-		cs, err := compactOf(collective.HalvingDoubling(cfg.Nodes, elems))
-		return cs, nil, err
-	case AlgBinomial:
-		cs, err := compactOf(collective.BinomialTree(cfg.Nodes, elems))
-		return cs, nil, err
-	case AlgWrht, AlgWrhtUnstriped, AlgWrhtPipelined:
-		plan, err := core.BuildPlan(cfg.Nodes, cfg.Optical.Wavelengths, wrhtOptions(cfg, alg))
+// buildCompactSchedule constructs the columnar (per-transfer) schedule for
+// alg — the form the message-level event simulator consumes
+// (EventLevelTime); the caller owns the schedule. Rings and unpipelined Wrht
+// plans are generated directly, without boxed per-transfer objects.
+func buildCompactSchedule(cfg Config, alg Algorithm, elems int) (*collective.CompactSchedule, error) {
+	l, err := lower(cfg, alg, core.BuildPlan)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case !l.direct:
+		s, err := l.boxed(elems)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if alg == AlgWrhtPipelined {
-			cs, err := compactOf(plan.PipelinedSchedule(elems, pipelineChunks(cfg)))
-			return cs, plan, err
-		}
-		cs, err := plan.CompactSchedule(elems)
-		return cs, plan, err
+		return s.Compact(), nil
+	case l.plan != nil:
+		return l.plan.CompactSchedule(elems)
 	default:
-		return nil, nil, fmt.Errorf("wrht: unknown algorithm %q", alg)
+		return collective.RingAllReduceCompact(cfg.Nodes, elems)
 	}
 }
 
 // buildClassSchedule constructs the symmetry-aware classed schedule (and
 // optional Wrht plan) for alg, together with the schedule's cache identity —
-// the form the simulate fast path prices. Ring schedules and Wrht plans emit
-// classes directly without materializing per-node transfers; the remaining
-// algorithms build the compact form once and fingerprint it. With a session
-// the schedule is cache-owned; without one the caller owns it.
+// the form the simulate fast path prices. Ring schedules and unpipelined
+// Wrht plans emit classes directly without materializing per-node
+// transfers; the remaining algorithms build the boxed form once and
+// fingerprint it. With a session the schedule is cache-owned; without one
+// the caller owns it.
 func buildClassSchedule(cfg Config, alg Algorithm, elems int, sess *session) (*collective.ClassSchedule, *core.Plan, exp.ScheduleKey, error) {
-	key := exp.ScheduleKey{Algorithm: schedName(alg), N: cfg.Nodes, Elems: elems}
-	var build func() (*collective.ClassSchedule, error)
-	var plan *core.Plan
-	switch alg {
-	case AlgERing, AlgORing, AlgORingStriped:
-		build = func() (*collective.ClassSchedule, error) {
-			return collective.RingAllReduceClassed(cfg.Nodes, elems)
-		}
-	case AlgRD:
-		build = func() (*collective.ClassSchedule, error) {
-			return classesOf(collective.RecursiveDoubling(cfg.Nodes, elems))
-		}
-	case AlgHD:
-		build = func() (*collective.ClassSchedule, error) {
-			return classesOf(collective.HalvingDoubling(cfg.Nodes, elems))
-		}
-	case AlgBinomial:
-		build = func() (*collective.ClassSchedule, error) {
-			return classesOf(collective.BinomialTree(cfg.Nodes, elems))
-		}
-	case AlgWrht, AlgWrhtUnstriped, AlgWrhtPipelined:
-		var err error
-		plan, err = sess.buildPlan(cfg.Nodes, cfg.Optical.Wavelengths, wrhtOptions(cfg, alg))
-		if err != nil {
-			return nil, nil, key, err
-		}
-		key.Sig = plan.Sig()
+	key := exp.ScheduleKey{N: cfg.Nodes, Elems: elems}
+	l, err := lower(cfg, alg, sess.buildPlan)
+	if err != nil {
+		return nil, nil, key, err
+	}
+	key.Algorithm = l.name
+	if l.plan != nil {
+		key.Sig = l.plan.Sig()
 		if alg == AlgWrhtPipelined {
 			key.Chunks = pipelineChunks(cfg)
-			build = func() (*collective.ClassSchedule, error) {
-				return classesOf(plan.PipelinedSchedule(elems, pipelineChunks(cfg)))
-			}
-		} else {
-			build = func() (*collective.ClassSchedule, error) {
-				return plan.ClassSchedule(elems)
-			}
 		}
-	default:
-		return nil, nil, key, fmt.Errorf("wrht: unknown algorithm %q", alg)
+	}
+	build := func() (*collective.ClassSchedule, error) {
+		switch {
+		case !l.direct:
+			s, err := l.boxed(elems)
+			if err != nil {
+				return nil, err
+			}
+			cs := s.Compact()
+			cls := cs.Classes()
+			cs.Release()
+			return cls, nil
+		case l.plan != nil:
+			return l.plan.ClassSchedule(elems)
+		default:
+			return collective.RingAllReduceClassed(cfg.Nodes, elems)
+		}
 	}
 	if rec := sess.recorder(); rec != nil {
 		// Wrap the build so certificate outcomes are recorded exactly once
@@ -404,61 +416,16 @@ func buildClassSchedule(cfg Config, alg Algorithm, elems int, sess *session) (*c
 	if err != nil {
 		return nil, nil, key, err
 	}
-	return cls, plan, key, nil
+	return cls, l.plan, key, nil
 }
 
-// compactOf converts a boxed schedule construction result to columnar form.
-func compactOf(s *collective.Schedule, err error) (*collective.CompactSchedule, error) {
-	if err != nil {
-		return nil, err
+// bufferElems converts a buffer size to the schedule element count,
+// rounding a partial element up.
+func bufferElems(bytes int64, bytesPerElem int) (int, error) {
+	if bytes <= 0 {
+		return 0, fmt.Errorf("wrht: non-positive buffer size %d", bytes)
 	}
-	return s.Compact(), nil
-}
-
-// classesOf fingerprints a boxed schedule construction result into classed
-// form (via a transient compact schedule that goes back to the pool).
-func classesOf(s *collective.Schedule, err error) (*collective.ClassSchedule, error) {
-	if err != nil {
-		return nil, err
-	}
-	cs := s.Compact()
-	cls := cs.Classes()
-	cs.Release()
-	return cls, nil
-}
-
-// buildSchedule constructs the boxed schedule (and optional Wrht plan) for
-// alg — the historical path, kept for schedule inspection and verification
-// surfaces (ScheduleOutline, VerifyAlgorithm) and as the old-path reference
-// the golden equality tests compare the compact fast path against.
-func buildSchedule(cfg Config, alg Algorithm, elems int, build planBuilder) (*collective.Schedule, *core.Plan, error) {
-	switch alg {
-	case AlgERing, AlgORing, AlgORingStriped:
-		s, err := collective.RingAllReduce(cfg.Nodes, elems)
-		return s, nil, err
-	case AlgRD:
-		s, err := collective.RecursiveDoubling(cfg.Nodes, elems)
-		return s, nil, err
-	case AlgHD:
-		s, err := collective.HalvingDoubling(cfg.Nodes, elems)
-		return s, nil, err
-	case AlgBinomial:
-		s, err := collective.BinomialTree(cfg.Nodes, elems)
-		return s, nil, err
-	case AlgWrht, AlgWrhtUnstriped, AlgWrhtPipelined:
-		plan, err := build(cfg.Nodes, cfg.Optical.Wavelengths, wrhtOptions(cfg, alg))
-		if err != nil {
-			return nil, nil, err
-		}
-		if alg == AlgWrhtPipelined {
-			s, err := plan.PipelinedSchedule(elems, pipelineChunks(cfg))
-			return s, plan, err
-		}
-		s, err := plan.Schedule(elems)
-		return s, plan, err
-	default:
-		return nil, nil, fmt.Errorf("wrht: unknown algorithm %q", alg)
-	}
+	return int((bytes + int64(bytesPerElem) - 1) / int64(bytesPerElem)), nil
 }
 
 // isElectrical reports whether the algorithm runs on the electrical substrate.
@@ -492,16 +459,19 @@ func communicationTime(cfg Config, alg Algorithm, bytes int64, sess *session) (R
 	if err := cfg.Validate(); err != nil {
 		return Result{}, nil, err
 	}
-	if bytes <= 0 {
-		return Result{}, nil, fmt.Errorf("wrht: non-positive buffer size %d", bytes)
+	elems, err := bufferElems(bytes, cfg.BytesPerElem)
+	if err != nil {
+		return Result{}, nil, err
 	}
-	elems := int((bytes + int64(cfg.BytesPerElem) - 1) / int64(cfg.BytesPerElem))
 	cls, plan, key, err := buildClassSchedule(cfg, alg, elems, sess)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	out := Result{Algorithm: alg, Steps: cls.NumSteps()}
-	simBytes := int64(elems) * int64(cfg.BytesPerElem)
+	out := Result{
+		Algorithm:        alg,
+		Steps:            cls.NumSteps(),
+		PredictedSeconds: closedForm(cfg, alg, plan, int64(elems)*int64(cfg.BytesPerElem)),
+	}
 
 	if isElectrical(alg) {
 		res, err := sess.simElectrical(key, cls, runner.ElectricalOptions{
@@ -513,16 +483,6 @@ func communicationTime(cfg Config, alg Algorithm, bytes int64, sess *session) (R
 		}
 		out.Substrate = res.Substrate
 		out.Seconds = res.TotalSec
-		switch alg {
-		case AlgERing:
-			out.PredictedSeconds = model.ERing(cfg.Nodes, simBytes, cfg.Electrical)
-		case AlgRD:
-			out.PredictedSeconds = model.RD(cfg.Nodes, simBytes, cfg.Electrical)
-		case AlgHD:
-			out.PredictedSeconds = model.HD(cfg.Nodes, simBytes, cfg.Electrical)
-		case AlgBinomial:
-			out.PredictedSeconds = model.Binomial(cfg.Nodes, simBytes, cfg.Electrical)
-		}
 		return out, cls, nil
 	}
 
@@ -533,18 +493,32 @@ func communicationTime(cfg Config, alg Algorithm, bytes int64, sess *session) (R
 	out.Substrate = res.Substrate
 	out.Seconds = res.TotalSec
 	out.MaxWavelengths = res.MaxWavelengths
-	switch alg {
-	case AlgORing:
-		out.PredictedSeconds = model.ORing(cfg.Nodes, simBytes, cfg.Optical)
-	case AlgORingStriped:
-		out.PredictedSeconds = model.ORingStriped(cfg.Nodes, simBytes, cfg.Optical)
-	case AlgWrht, AlgWrhtUnstriped:
-		out.PredictedSeconds = model.Wrht(plan, simBytes, cfg.Optical)
-	case AlgWrhtPipelined:
-		out.PredictedSeconds = model.WrhtPipelined(plan, simBytes, cfg.Optical, pipelineChunks(cfg))
-	}
-
 	return out, cls, nil
+}
+
+// closedForm is the analytic all-reduce time of bytes under alg (model
+// package); plan is the Wrht plan for the Wrht variants and ignored
+// otherwise. The pipelined variant is priced through the documented
+// round-splitting approximation in core.PredictPipelinedTime.
+func closedForm(cfg Config, alg Algorithm, plan *core.Plan, bytes int64) float64 {
+	switch alg {
+	case AlgERing:
+		return model.ERing(cfg.Nodes, bytes, cfg.Electrical)
+	case AlgRD:
+		return model.RD(cfg.Nodes, bytes, cfg.Electrical)
+	case AlgHD:
+		return model.HD(cfg.Nodes, bytes, cfg.Electrical)
+	case AlgBinomial:
+		return model.Binomial(cfg.Nodes, bytes, cfg.Electrical)
+	case AlgORing:
+		return model.ORing(cfg.Nodes, bytes, cfg.Optical)
+	case AlgORingStriped:
+		return model.ORingStriped(cfg.Nodes, bytes, cfg.Optical)
+	case AlgWrhtPipelined:
+		return model.WrhtPipelined(plan, bytes, cfg.Optical, pipelineChunks(cfg))
+	default:
+		return model.Wrht(plan, bytes, cfg.Optical)
+	}
 }
 
 // opticalOptions is the substrate configuration an optical algorithm is
@@ -576,7 +550,11 @@ func VerifyAlgorithm(cfg Config, alg Algorithm, elems int) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	s, _, err := buildSchedule(cfg, alg, elems, core.BuildPlan)
+	l, err := lower(cfg, alg, core.BuildPlan)
+	if err != nil {
+		return err
+	}
+	s, err := l.boxed(elems)
 	if err != nil {
 		return err
 	}
@@ -666,40 +644,17 @@ func TrainingIteration(cfg Config, alg Algorithm, modelName string, bucketCapByt
 }
 
 // commTimer builds an analytic per-bucket timer for the algorithm (fast
-// enough to call once per bucket per iteration). Every Algorithm has an arm:
-// the electrical trees and rings use their closed forms, the Wrht variants a
-// plan built once and priced per bucket (the pipelined variant through the
-// documented round-splitting approximation in core.PredictPipelinedTime).
+// enough to call once per bucket per iteration): the Wrht variants build
+// their plan once, and every bucket is priced by closedForm.
 func commTimer(cfg Config, alg Algorithm, build planBuilder) (trace.CommTimer, error) {
-	switch alg {
-	case AlgERing:
-		return func(b int64) float64 { return model.ERing(cfg.Nodes, b, cfg.Electrical) }, nil
-	case AlgRD:
-		return func(b int64) float64 { return model.RD(cfg.Nodes, b, cfg.Electrical) }, nil
-	case AlgHD:
-		return func(b int64) float64 { return model.HD(cfg.Nodes, b, cfg.Electrical) }, nil
-	case AlgBinomial:
-		return func(b int64) float64 { return model.Binomial(cfg.Nodes, b, cfg.Electrical) }, nil
-	case AlgORing:
-		return func(b int64) float64 { return model.ORing(cfg.Nodes, b, cfg.Optical) }, nil
-	case AlgORingStriped:
-		return func(b int64) float64 { return model.ORingStriped(cfg.Nodes, b, cfg.Optical) }, nil
-	case AlgWrht, AlgWrhtUnstriped, AlgWrhtPipelined:
-		plan, err := build(cfg.Nodes, cfg.Optical.Wavelengths, wrhtOptions(cfg, alg))
-		if err != nil {
-			return nil, err
-		}
-		if alg == AlgWrhtPipelined {
-			chunks := pipelineChunks(cfg)
-			if chunks < 1 {
-				// Mirror CommunicationTime, which rejects the same value in
-				// PipelinedSchedule, instead of silently pricing unpipelined.
-				return nil, fmt.Errorf("wrht: pipeline chunks %d", chunks)
-			}
-			return func(b int64) float64 { return model.WrhtPipelined(plan, b, cfg.Optical, chunks) }, nil
-		}
-		return func(b int64) float64 { return model.Wrht(plan, b, cfg.Optical) }, nil
-	default:
-		return nil, fmt.Errorf("wrht: no analytic timer for algorithm %q", alg)
+	l, err := lower(cfg, alg, build)
+	if err != nil {
+		return nil, err
 	}
+	if chunks := pipelineChunks(cfg); alg == AlgWrhtPipelined && chunks < 1 {
+		// Mirror CommunicationTime, which rejects the same value in
+		// PipelinedSchedule, instead of silently pricing unpipelined.
+		return nil, fmt.Errorf("wrht: pipeline chunks %d", chunks)
+	}
+	return func(b int64) float64 { return closedForm(cfg, alg, l.plan, b) }, nil
 }

@@ -158,6 +158,23 @@ func TestCommunicationTimeValidation(t *testing.T) {
 	}
 }
 
+// TestSessionRejectsUnknownAlgorithm: an unknown algorithm fails on a
+// session before any cache is consulted, so it never plans, builds or
+// simulates a schedule under an empty cache key.
+func TestSessionRejectsUnknownAlgorithm(t *testing.T) {
+	ss := NewSweepSession()
+	cfg := DefaultConfig(16)
+	if _, err := ss.CommunicationTime(cfg, Algorithm("bogus"), 1024); err == nil {
+		t.Fatal("CommunicationTime accepted a bogus algorithm")
+	}
+	if _, err := ss.Compare(cfg, []Algorithm{"bogus"}, 1024); err == nil {
+		t.Fatal("Compare accepted a bogus algorithm")
+	}
+	if st := ss.Stats(); st != (CacheStats{}) {
+		t.Fatalf("a rejected algorithm touched the session caches: %+v", st)
+	}
+}
+
 func TestWrhtStripingAblationViaConfig(t *testing.T) {
 	cfg := DefaultConfig(256)
 	bytes := MustModel("ResNet50").Bytes
