@@ -1,7 +1,9 @@
 package collective
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -18,12 +20,13 @@ import (
 // (b) a rotational-symmetry certificate for the step's demand pattern: the
 // step is a representative orbit of transfers replicated `blocks` times at
 // node stride `period`, block-major, with the orbit's directed links confined
-// to one period-wide window (so replicas are pairwise link-disjoint). Two
-// extra flags refine the certificate: `disjoint` (all transfers in the step
-// are pairwise link-disjoint, so wavelength assignment is trivial for any
-// subset) and `permutation` (every node sends at most one and receives at
-// most one transfer, the condition under which a non-blocking electrical
-// cluster gives every flow its full link rate).
+// to one period-wide window (so replicas are pairwise link-disjoint). A
+// `disjoint` flag refines the certificate (all transfers in the step are
+// pairwise link-disjoint, so wavelength assignment is trivial for any
+// subset), and every step — certified or not — carries a `perm` flag
+// (every node sends at most one and receives at most one transfer, the
+// condition under which a non-blocking electrical cluster gives every flow
+// its full link rate).
 //
 // Steps whose pattern is not provably symmetric are stored materialized
 // (the verified fallback): their full transfer list is kept and priced by
@@ -171,8 +174,10 @@ func (c *ClassSchedule) TotalTrafficElems() int64 {
 
 // Sym reports step s's symmetry certificate: ok is false for materialized
 // (fallback) steps. disjoint means every transfer pair in the step is
-// link-disjoint; perm means the step is a partial permutation (each node
-// sends ≤1 and receives ≤1 transfer).
+// link-disjoint. perm means the step is a partial permutation (each node
+// sends ≤1 and receives ≤1 transfer); it is set on certified and
+// materialized steps alike, exactly on materialized ones and never falsely
+// on certified ones.
 func (c *ClassSchedule) Sym(s int) (period, blocks int, disjoint, perm, ok bool) {
 	st := &c.steps[s]
 	return int(st.period), int(st.blocks), st.disjoint, st.perm, st.sym
@@ -325,24 +330,40 @@ func (c *ClassSchedule) Release() {
 	classPool.Put(c)
 }
 
-// ClassScheduleBuilder assembles a ClassSchedule step by step. Symmetric
-// steps are verified as they close: a step whose claimed orbit fails the
-// link-window check is silently materialized instead (the verified
-// fallback), so a finished schedule's certificates always hold.
+// ClassScheduleBuilder assembles a ClassSchedule step by step, and it is
+// the one place steps are certified. Every step is verified as it closes:
+//
+//   - a step written through StartStep/Add is searched for its smallest
+//     block-major rotational orbit; when the orbit's link-window certificate
+//     verifies, the step is stored in orbit form, otherwise it stays
+//     materialized;
+//   - a step whose orbit was claimed (StartSymRotated) and fails
+//     verification is silently materialized instead (the verified
+//     fallback).
+//
+// So a finished schedule's certificates always hold, whichever generator
+// wrote it.
 type ClassScheduleBuilder struct {
 	cs *ClassSchedule
 
-	open    bool
-	sym     bool
-	demoted bool
+	open bool
 
 	// ringClasses are the precomputed (len → count) classes of the shared
 	// chunk ring, reused by every lenRotated step.
 	ringClasses []TransferClass
 
+	// lastRot is the index of the most recent certified lenRotated step
+	// (-1 = none); a rotated step with the same orbit, period and blocks
+	// reuses its certificate and classes.
+	lastRot int
+
+	// mark is the partial-permutation scratch: mark[src] and mark[N+dst]
+	// hold the epoch of the step that last used that endpoint.
+	mark  []int32
+	epoch int32
+
 	// scratch
 	ivCW, ivCCW []interval
-	pts         []int32
 	clsScratch  map[classKey]int32
 	clsOrder    []classKey
 }
@@ -367,7 +388,21 @@ func NewClassScheduleBuilder(algorithm string, n, elems int) *ClassScheduleBuild
 	cs.fbSrc, cs.fbDst, cs.fbLen, cs.fbOff, cs.fbWidth = cs.fbSrc[:0], cs.fbDst[:0], cs.fbLen[:0], cs.fbOff[:0], cs.fbWidth[:0]
 	cs.fbDir, cs.fbRouted, cs.fbOp = cs.fbDir[:0], cs.fbRouted[:0], cs.fbOp[:0]
 	cs.certSteps, cs.demotedSteps = 0, 0
-	return &ClassScheduleBuilder{cs: cs, clsScratch: map[classKey]int32{}}
+	return &ClassScheduleBuilder{cs: cs, lastRot: -1, clsScratch: map[classKey]int32{}}
+}
+
+// Grow pre-sizes the builder for the expected step count and for the
+// number of transfers written through Add (the columns a materialized step
+// keeps). Symmetric steps store at least one orbit transfer each, so the
+// orbit columns are sized by the step count.
+func (b *ClassScheduleBuilder) Grow(steps, transfers int) {
+	cs := b.cs
+	cs.steps = slices.Grow(cs.steps, steps)
+	cs.orbSrc, cs.orbDst, cs.orbWidth = slices.Grow(cs.orbSrc, steps), slices.Grow(cs.orbDst, steps), slices.Grow(cs.orbWidth, steps)
+	cs.orbDir, cs.orbRouted, cs.orbOp = slices.Grow(cs.orbDir, steps), slices.Grow(cs.orbRouted, steps), slices.Grow(cs.orbOp, steps)
+	cs.fbSrc, cs.fbDst = slices.Grow(cs.fbSrc, transfers), slices.Grow(cs.fbDst, transfers)
+	cs.fbLen, cs.fbOff, cs.fbWidth = slices.Grow(cs.fbLen, transfers), slices.Grow(cs.fbOff, transfers), slices.Grow(cs.fbWidth, transfers)
+	cs.fbDir, cs.fbRouted, cs.fbOp = slices.Grow(cs.fbDir, transfers), slices.Grow(cs.fbRouted, transfers), slices.Grow(cs.fbOp, transfers)
 }
 
 // SetLenRing installs the shared chunk regions lenRotated steps rotate over
@@ -393,18 +428,20 @@ func (b *ClassScheduleBuilder) SetLenRing(chunks []tensor.Region) {
 	}
 }
 
-// StartStep opens a materialized (fallback) step.
+// StartStep opens a step whose transfers Add supplies one by one; when it
+// closes, the builder certifies it if its transfers form a verifiable
+// rotational orbit and keeps it materialized otherwise.
 func (b *ClassScheduleBuilder) StartStep(label string) {
 	b.closeStep()
 	b.openStep(label, classStep{})
 }
 
-// Add appends a transfer to the open materialized step.
+// Add appends a transfer to the step opened by StartStep.
 func (b *ClassScheduleBuilder) Add(tr Transfer) {
 	cs := b.cs
 	st := &cs.steps[len(cs.steps)-1]
 	if !b.open || st.sym {
-		panic("collective: ClassScheduleBuilder.Add outside a materialized step")
+		panic("collective: ClassScheduleBuilder.Add outside a StartStep step")
 	}
 	cs.fbSrc = append(cs.fbSrc, int32(tr.Src))
 	cs.fbDst = append(cs.fbDst, int32(tr.Dst))
@@ -415,16 +452,6 @@ func (b *ClassScheduleBuilder) Add(tr Transfer) {
 	cs.fbRouted = append(cs.fbRouted, tr.Routed)
 	cs.fbOp = append(cs.fbOp, tr.Op)
 	st.fbHi++
-}
-
-// StartSymUniform opens a symmetric step whose transfers all move the same
-// region (the Wrht tree-level shape).
-func (b *ClassScheduleBuilder) StartSymUniform(label string, period, blocks int, region tensor.Region) {
-	b.closeStep()
-	b.openStep(label, classStep{
-		sym: true, period: int32(period), blocks: int32(blocks),
-		mode: lenUniform, lenParam: int32(region.Len), offParam: int32(region.Offset),
-	})
 }
 
 // StartSymRotated opens a symmetric single-transfer-orbit step whose
@@ -442,17 +469,6 @@ func (b *ClassScheduleBuilder) StartSymRotated(label string, period, blocks, rot
 	})
 }
 
-// StartSymExplicit opens a symmetric step with explicit per-transfer regions:
-// AddOrbit supplies block 0 (pattern and regions), AddRegion the remaining
-// blocks' regions in block-major order.
-func (b *ClassScheduleBuilder) StartSymExplicit(label string, period, blocks int) {
-	b.closeStep()
-	b.openStep(label, classStep{
-		sym: true, period: int32(period), blocks: int32(blocks),
-		mode: lenExplicit, lenLo: int32(len(b.cs.lens)),
-	})
-}
-
 // AddOrbit appends one orbit (block 0) transfer to the open symmetric step.
 func (b *ClassScheduleBuilder) AddOrbit(tr Transfer) {
 	cs := b.cs
@@ -467,21 +483,6 @@ func (b *ClassScheduleBuilder) AddOrbit(tr Transfer) {
 	cs.orbRouted = append(cs.orbRouted, tr.Routed)
 	cs.orbOp = append(cs.orbOp, tr.Op)
 	st.orbHi++
-	if st.mode == lenExplicit {
-		cs.lens = append(cs.lens, int32(tr.Region.Len))
-		cs.offs = append(cs.offs, int32(tr.Region.Offset))
-	}
-}
-
-// AddRegion appends one replica region to the open explicit symmetric step.
-func (b *ClassScheduleBuilder) AddRegion(r tensor.Region) {
-	cs := b.cs
-	st := &cs.steps[len(cs.steps)-1]
-	if !b.open || !st.sym || st.mode != lenExplicit {
-		panic("collective: ClassScheduleBuilder.AddRegion outside an explicit symmetric step")
-	}
-	cs.lens = append(cs.lens, int32(r.Len))
-	cs.offs = append(cs.offs, int32(r.Offset))
 }
 
 // Finish seals and returns the schedule; the builder must not be used again.
@@ -496,11 +497,8 @@ func (b *ClassScheduleBuilder) openStep(label string, st classStep) {
 	st.clsLo, st.clsHi = int32(len(cs.clsCount)), int32(len(cs.clsCount))
 	st.orbLo, st.orbHi = int32(len(cs.orbSrc)), int32(len(cs.orbSrc))
 	st.fbLo, st.fbHi = int32(len(cs.fbSrc)), int32(len(cs.fbSrc))
-	if st.mode == lenExplicit {
-		st.lenLo = int32(len(cs.lens))
-	}
 	cs.steps = append(cs.steps, st)
-	b.open, b.sym = true, st.sym
+	b.open = true
 }
 
 // effArc resolves a transfer pattern's effective direction and hop count,
@@ -521,31 +519,172 @@ func effArc(n, src, dst int, dir ring.Direction, routed bool) (ring.Direction, i
 	return ring.CCW, ccw
 }
 
-// closeStep verifies an open symmetric step's certificate and computes its
-// classes; a failed certificate demotes the step to materialized form.
+// closeStep certifies the open step and computes its classes: a staged
+// (StartStep) step goes through orbit detection, a claimed symmetric step
+// through verification, and a failed claim demotes the step to
+// materialized form.
 func (b *ClassScheduleBuilder) closeStep() {
 	if !b.open {
 		return
 	}
 	b.open = false
 	cs := b.cs
-	st := &cs.steps[len(cs.steps)-1]
+	si := len(cs.steps) - 1
+	st := &cs.steps[si]
 	if !st.sym {
+		b.certifyStaged(st)
 		return
 	}
 	o := int(st.orbHi - st.orbLo)
 	if o == 0 {
 		// An empty symmetric step is just an empty step.
-		st.sym = false
+		st.sym, st.perm = false, true
+		return
+	}
+	if st.mode == lenRotated && b.lastRot >= 0 && b.sameRotation(&cs.steps[b.lastRot], st) {
+		prev := &cs.steps[b.lastRot]
+		st.disjoint, st.perm = prev.disjoint, prev.perm
+		for i := prev.clsLo; i < prev.clsHi; i++ {
+			cs.clsCount = append(cs.clsCount, cs.clsCount[i])
+			cs.clsLen = append(cs.clsLen, cs.clsLen[i])
+			cs.clsHops = append(cs.clsHops, cs.clsHops[i])
+			cs.clsWidth = append(cs.clsWidth, cs.clsWidth[i])
+		}
+		st.clsHi += prev.clsHi - prev.clsLo
+		b.lastRot = si
+		cs.certSteps++
 		return
 	}
 	if !b.verifySym(st, o) {
 		b.demote(st, o)
+		st.perm = b.isPermutation(st)
 		cs.demotedSteps++
 		return
 	}
 	b.buildClasses(st, o)
+	if st.mode == lenRotated {
+		b.lastRot = si
+	}
 	cs.certSteps++
+}
+
+// sameRotation reports whether rotated step st has certified step prev's
+// certificate: the same single orbit transfer (up to its pricing-neutral
+// Op), period and blocks over the same chunk ring.
+func (b *ClassScheduleBuilder) sameRotation(prev, st *classStep) bool {
+	cs := b.cs
+	if st.orbHi-st.orbLo != 1 || prev.period != st.period || prev.blocks != st.blocks {
+		return false
+	}
+	i, j := prev.orbLo, st.orbLo
+	return cs.orbSrc[i] == cs.orbSrc[j] && cs.orbDst[i] == cs.orbDst[j] &&
+		cs.orbWidth[i] == cs.orbWidth[j] && cs.orbDir[i] == cs.orbDir[j] &&
+		cs.orbRouted[i] == cs.orbRouted[j]
+}
+
+// certifyStaged closes a step written through StartStep/Add. It sets the
+// step's partial-permutation flag, detects the smallest block-major orbit
+// of its transfers and, when the orbit's certificate verifies, moves the
+// step into orbit form (uniform regions when every transfer moves the same
+// region, explicit per-transfer regions otherwise). A detected orbit that
+// fails verification counts as a demotion and the step stays materialized.
+func (b *ClassScheduleBuilder) certifyStaged(st *classStep) {
+	cs := b.cs
+	st.perm = b.isPermutation(st)
+	lo, hi := int(st.fbLo), int(st.fbHi)
+	o, p := b.detectOrbit(lo, hi)
+	if o == 0 {
+		return
+	}
+	staged := *st
+	st.sym, st.period, st.blocks = true, int32(p), int32((hi-lo)/o)
+	uniform := true
+	for i := lo + 1; i < hi && uniform; i++ {
+		uniform = cs.fbLen[i] == cs.fbLen[lo] && cs.fbOff[i] == cs.fbOff[lo]
+	}
+	if uniform {
+		st.mode, st.lenParam, st.offParam = lenUniform, cs.fbLen[lo], cs.fbOff[lo]
+	} else {
+		st.mode, st.lenLo = lenExplicit, int32(len(cs.lens))
+		cs.lens = append(cs.lens, cs.fbLen[lo:hi]...)
+		cs.offs = append(cs.offs, cs.fbOff[lo:hi]...)
+	}
+	cs.orbSrc = append(cs.orbSrc, cs.fbSrc[lo:lo+o]...)
+	cs.orbDst = append(cs.orbDst, cs.fbDst[lo:lo+o]...)
+	cs.orbWidth = append(cs.orbWidth, cs.fbWidth[lo:lo+o]...)
+	cs.orbDir = append(cs.orbDir, cs.fbDir[lo:lo+o]...)
+	cs.orbRouted = append(cs.orbRouted, cs.fbRouted[lo:lo+o]...)
+	cs.orbOp = append(cs.orbOp, cs.fbOp[lo:lo+o]...)
+	st.orbHi = st.orbLo + int32(o)
+	if !b.verifySym(st, o) {
+		b.truncateOrbit(st)
+		*st = staged
+		cs.demotedSteps++
+		return
+	}
+	st.perm = staged.perm // exact, where verifySym's orbit-window flag may miss
+	cs.fbSrc, cs.fbDst, cs.fbLen, cs.fbOff, cs.fbWidth = cs.fbSrc[:lo], cs.fbDst[:lo], cs.fbLen[:lo], cs.fbOff[:lo], cs.fbWidth[:lo]
+	cs.fbDir, cs.fbRouted, cs.fbOp = cs.fbDir[:lo], cs.fbRouted[:lo], cs.fbOp[:lo]
+	st.fbHi = st.fbLo
+	b.buildClasses(st, o)
+	cs.certSteps++
+}
+
+// isPermutation reports whether materialized step st is a partial
+// permutation: its sources are pairwise distinct and its destinations are
+// pairwise distinct. One pass over the step, against the N-sized mark
+// scratch (epoch-stamped, so it is never cleared).
+func (b *ClassScheduleBuilder) isPermutation(st *classStep) bool {
+	cs := b.cs
+	n := cs.N
+	if len(b.mark) < 2*n {
+		b.mark, b.epoch = make([]int32, 2*n), 0
+	}
+	b.epoch++
+	e := b.epoch
+	for i := st.fbLo; i < st.fbHi; i++ {
+		src, dst := int(cs.fbSrc[i]), int(cs.fbDst[i])
+		if src < 0 || src >= n || dst < 0 || dst >= n || b.mark[src] == e || b.mark[n+dst] == e {
+			return false
+		}
+		b.mark[src], b.mark[n+dst] = e, e
+	}
+	return true
+}
+
+// detectOrbit returns the smallest proper orbit size o (and the block node
+// stride p) such that staged transfers [lo, hi) are the first o replicated
+// block-major at stride p, or (0, 0) when no proper orbit exists.
+func (b *ClassScheduleBuilder) detectOrbit(lo, hi int) (int, int) {
+	cs := b.cs
+	t := hi - lo
+	if t < 2 {
+		return 0, 0
+	}
+	n := cs.N
+outer:
+	for o := 1; o <= t/2; o++ {
+		if t%o != 0 {
+			continue
+		}
+		blocks := t / o
+		p := ((int(cs.fbSrc[lo+o])-int(cs.fbSrc[lo]))%n + n) % n
+		if p < 1 || p*blocks > n {
+			continue
+		}
+		for j := o; j < t; j++ {
+			a, b := lo+j, lo+j-o
+			if int(cs.fbSrc[a]) != (int(cs.fbSrc[b])+p)%n || int(cs.fbDst[a]) != (int(cs.fbDst[b])+p)%n {
+				continue outer
+			}
+			if cs.fbDir[a] != cs.fbDir[b] || cs.fbRouted[a] != cs.fbRouted[b] ||
+				cs.fbWidth[a] != cs.fbWidth[b] || cs.fbOp[a] != cs.fbOp[b] {
+				continue outer
+			}
+		}
+		return o, p
+	}
+	return 0, 0
 }
 
 // verifySym checks the certificate's structural conditions and sets the
@@ -558,9 +697,6 @@ func (b *ClassScheduleBuilder) verifySym(st *classStep, o int) bool {
 		return false
 	}
 	if st.mode == lenRotated && (o != 1 || len(cs.lenRing) != o*blocks) {
-		return false
-	}
-	if st.mode == lenExplicit && int(st.lenLo)+o*blocks != len(cs.lens) {
 		return false
 	}
 	b.ivCW, b.ivCCW = b.ivCW[:0], b.ivCCW[:0]
@@ -640,7 +776,7 @@ func windowCheck(iv []interval, p, n int) (fits, disjoint bool) {
 	if hi-lo > p {
 		return false, false
 	}
-	sort.Slice(iv, func(a, b int) bool { return iv[a].start < iv[b].start })
+	slices.SortFunc(iv, func(a, b interval) int { return cmp.Compare(a.start, b.start) })
 	disjoint = true
 	for k := 1; k < len(iv); k++ {
 		if iv[k].start < iv[k-1].start+iv[k-1].h {
@@ -673,7 +809,14 @@ func (b *ClassScheduleBuilder) demote(st *classStep, o int) {
 			j++
 		}
 	}
-	// Reclaim the orbit (it is the column tail — only the open step writes).
+	b.truncateOrbit(st)
+	st.sym, st.disjoint = false, false
+}
+
+// truncateOrbit reclaims the open step's orbit and explicit regions (they
+// are the column tails — only the open step writes).
+func (b *ClassScheduleBuilder) truncateOrbit(st *classStep) {
+	cs := b.cs
 	cs.orbSrc = cs.orbSrc[:st.orbLo]
 	cs.orbDst = cs.orbDst[:st.orbLo]
 	cs.orbWidth = cs.orbWidth[:st.orbLo]
@@ -685,7 +828,6 @@ func (b *ClassScheduleBuilder) demote(st *classStep, o int) {
 		cs.lens = cs.lens[:st.lenLo]
 		cs.offs = cs.offs[:st.lenLo]
 	}
-	st.sym, st.disjoint, st.perm = false, false, false
 }
 
 // buildClasses computes the step's pricing classes.
@@ -733,65 +875,18 @@ func (b *ClassScheduleBuilder) buildClasses(st *classStep, o int) {
 }
 
 // Classes derives the symmetry-aware pricing fingerprint of the compact
-// schedule: per step it detects the smallest block-major rotational orbit
-// (falling back to full materialization when there is none or when the
-// orbit's link windows cannot be verified) and groups the transfers into
-// pricing classes. The result is self-contained — it copies what it needs
-// and survives the compact schedule's Release.
+// schedule by replaying it step by step through a ClassScheduleBuilder,
+// which certifies each step as it closes. The result is self-contained — it
+// copies what it needs and survives the compact schedule's Release.
 func (c *CompactSchedule) Classes() *ClassSchedule {
 	b := NewClassScheduleBuilder(c.Algorithm, c.N, c.Elems)
+	b.Grow(c.NumSteps(), c.TotalTransfers())
 	for si := 0; si < c.NumSteps(); si++ {
+		b.StartStep(c.StepLabel(si))
 		lo, hi := c.StepBounds(si)
-		t := hi - lo
-		o, p := c.detectOrbit(lo, hi)
-		if o > 0 {
-			b.StartSymExplicit(c.StepLabel(si), p, t/o)
-			for j := 0; j < o; j++ {
-				b.AddOrbit(c.Transfer(lo + j))
-			}
-			for j := o; j < t; j++ {
-				b.AddRegion(tensor.Region{Offset: int(c.off[lo+j]), Len: int(c.ln[lo+j])})
-			}
-		} else {
-			b.StartStep(c.StepLabel(si))
-			for j := lo; j < hi; j++ {
-				b.Add(c.Transfer(j))
-			}
+		for j := lo; j < hi; j++ {
+			b.Add(c.Transfer(j))
 		}
 	}
 	return b.Finish()
-}
-
-// detectOrbit returns the smallest proper orbit size o (and the block node
-// stride p) such that the step's transfers are the first o replicated
-// block-major at stride p, or (0, 0) when no proper orbit exists.
-func (c *CompactSchedule) detectOrbit(lo, hi int) (int, int) {
-	t := hi - lo
-	if t < 2 {
-		return 0, 0
-	}
-	n := c.N
-outer:
-	for o := 1; o <= t/2; o++ {
-		if t%o != 0 {
-			continue
-		}
-		blocks := t / o
-		p := ((int(c.src[lo+o])-int(c.src[lo]))%n + n) % n
-		if p < 1 || p*blocks > n {
-			continue
-		}
-		for j := o; j < t; j++ {
-			a, b := lo+j, lo+j-o
-			if int(c.src[a]) != (int(c.src[b])+p)%n || int(c.dst[a]) != (int(c.dst[b])+p)%n {
-				continue outer
-			}
-			if c.dir[a] != c.dir[b] || c.routed[a] != c.routed[b] ||
-				c.width[a] != c.width[b] || c.op[a] != c.op[b] {
-				continue outer
-			}
-		}
-		return o, p
-	}
-	return 0, 0
 }

@@ -265,3 +265,124 @@ func TestCertStatsPartition(t *testing.T) {
 	cls.Release()
 	cs.Release()
 }
+
+// TestClassedGeneratorsMatchBoxed: RD, HD and binomial emitted straight into
+// the classed builder expand to exactly the boxed oracle, certify at least
+// as many steps as fingerprinting the boxed schedule does, and (at small N)
+// still compute an all-reduce. N covers powers of two, primes and random
+// non-powers up to 3000; elems covers one element, fewer elements than
+// nodes (zero-length halves) and a large buffer.
+func TestClassedGeneratorsMatchBoxed(t *testing.T) {
+	gens := []struct {
+		name    string
+		boxed   func(n, elems int) (*Schedule, error)
+		classed func(n, elems int) (*ClassSchedule, error)
+	}{
+		{"rd", RecursiveDoubling, RecursiveDoublingClassed},
+		{"hd", HalvingDoubling, HalvingDoublingClassed},
+		{"binomial", BinomialTree, BinomialTreeClassed},
+	}
+	rng := rand.New(rand.NewSource(14))
+	ns := []int{2, 3, 7, 8, 12, 31, 64, 97, 1024, 2039, 3000}
+	for i := 0; i < 6; i++ {
+		ns = append(ns, 2+rng.Intn(2999))
+	}
+	for _, n := range ns {
+		for _, elems := range []int{1, 1 + rng.Intn(n), 1 << 20} {
+			for _, g := range gens {
+				want, err := g.boxed(n, elems)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cls, err := g.classed(n, elems)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := cls.Expand()
+				if !reflect.DeepEqual(normalize(got), normalize(want)) {
+					t.Fatalf("%s n=%d elems=%d: classed generator diverges from boxed", g.name, n, elems)
+				}
+				if err := cls.Validate(); err != nil {
+					t.Fatalf("%s n=%d elems=%d: %v", g.name, n, elems, err)
+				}
+				cs := want.Compact()
+				ref := cs.Classes()
+				if c, r := certified(cls), certified(ref); c < r {
+					t.Fatalf("%s n=%d elems=%d: %d certified steps, fingerprint certifies %d", g.name, n, elems, c, r)
+				}
+				if n <= 64 && elems < 1<<12 {
+					if err := VerifyAllReduce(got); err != nil {
+						t.Fatalf("%s n=%d elems=%d: %v", g.name, n, elems, err)
+					}
+				}
+				ref.Release()
+				cs.Release()
+				cls.Release()
+			}
+		}
+	}
+}
+
+func certified(c *ClassSchedule) int {
+	cert, _, _ := c.CertStats()
+	return cert
+}
+
+// TestPermFlagExact: every step carries its partial-permutation flag. On a
+// materialized step it is exactly "sources pairwise distinct and
+// destinations pairwise distinct"; on a certified step it is never set
+// unless that holds. A node sending twice, or receiving twice, clears it.
+func TestPermFlagExact(t *testing.T) {
+	isPerm := func(st Step) bool {
+		src, dst := map[int]bool{}, map[int]bool{}
+		for _, tr := range st.Transfers {
+			if src[tr.Src] || dst[tr.Dst] {
+				return false
+			}
+			src[tr.Src], dst[tr.Dst] = true, true
+		}
+		return true
+	}
+	check := func(s *Schedule) {
+		t.Helper()
+		cs := s.Compact()
+		cls := cs.Classes()
+		for si, st := range s.Steps {
+			_, _, _, perm, sym := cls.Sym(si)
+			want := isPerm(st)
+			if perm && !want {
+				t.Fatalf("%s step %d: perm set on a step that is not a partial permutation", s.Algorithm, si)
+			}
+			if !sym && perm != want {
+				t.Fatalf("%s step %d (materialized): perm=%v, want %v", s.Algorithm, si, perm, want)
+			}
+		}
+		cls.Release()
+		cs.Release()
+	}
+
+	full := tensor.Region{Len: 8}
+	check(&Schedule{Algorithm: "twice", N: 6, Elems: 8, Steps: []Step{
+		{Label: "sends twice", Transfers: []Transfer{
+			{Src: 0, Dst: 1, Region: full}, {Src: 0, Dst: 2, Region: full}, {Src: 3, Dst: 4, Region: full},
+		}},
+		{Label: "receives twice", Transfers: []Transfer{
+			{Src: 0, Dst: 5, Region: full}, {Src: 1, Dst: 5, Region: full}, {Src: 2, Dst: 3, Region: full},
+		}},
+		{Label: "permutation", Transfers: []Transfer{
+			{Src: 0, Dst: 5, Region: full}, {Src: 5, Dst: 0, Region: full}, {Src: 2, Dst: 3, Region: full},
+		}},
+		{Label: "empty"},
+	}})
+
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + rng.Intn(40)
+		elems := rng.Intn(500)
+		if trial%2 == 0 {
+			check(randomSchedule(rng, n, elems, 1+rng.Intn(5)))
+		} else {
+			check(randomSymmetricSchedule(rng, n, elems, 1+rng.Intn(5)))
+		}
+	}
+}

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"strconv"
 
 	"wrht/internal/ring"
 	"wrht/internal/tensor"
@@ -13,72 +14,53 @@ import (
 // the paper's E-Ring baseline (on the electrical substrate) and, restricted
 // to a single wavelength, its O-Ring baseline.
 func RingAllReduce(n, elems int) (*Schedule, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("collective: ring all-reduce needs n >= 2, got %d", n)
+	if err := ringArgs(n, elems); err != nil {
+		return nil, err
 	}
-	if elems < 0 {
-		return nil, fmt.Errorf("collective: negative elems %d", elems)
-	}
-	chunks := tensor.Chunks(elems, n)
 	s := &Schedule{Algorithm: "ring", N: n, Elems: elems}
-
-	// Reduce-scatter: in step t, node i sends chunk (i-t) mod n to node i+1,
-	// which accumulates it. After n-1 steps node i fully owns chunk (i+1) mod n.
-	for t := 0; t < n-1; t++ {
-		st := Step{Label: fmt.Sprintf("reduce-scatter %d/%d", t+1, n-1)}
-		for i := 0; i < n; i++ {
-			c := ((i-t)%n + n) % n
-			st.Transfers = append(st.Transfers, Transfer{
-				Src: i, Dst: (i + 1) % n,
-				Region: chunks[c],
-				Op:     OpReduce,
-				Routed: true, Dir: ring.CW,
-			})
-		}
-		s.Steps = append(s.Steps, st)
-	}
-
-	// All-gather: in step t, node i sends chunk (i+1-t) mod n to node i+1,
-	// which overwrites it.
-	for t := 0; t < n-1; t++ {
-		st := Step{Label: fmt.Sprintf("all-gather %d/%d", t+1, n-1)}
-		for i := 0; i < n; i++ {
-			c := ((i+1-t)%n + n) % n
-			st.Transfers = append(st.Transfers, Transfer{
-				Src: i, Dst: (i + 1) % n,
-				Region: chunks[c],
-				Op:     OpCopy,
-				Routed: true, Dir: ring.CW,
-			})
-		}
-		s.Steps = append(s.Steps, st)
-	}
+	ringAllReduce(s, n, elems)
 	return s, nil
 }
 
-// RingAllReduceCompact is RingAllReduce built directly in columnar form —
-// the hot simulate path's entry point, skipping the boxed per-step slices
-// entirely (property tests enforce Expand-equality with RingAllReduce).
+// RingAllReduceCompact is RingAllReduce built directly in columnar form,
+// skipping the boxed per-step slices entirely.
 func RingAllReduceCompact(n, elems int) (*CompactSchedule, error) {
+	if err := ringArgs(n, elems); err != nil {
+		return nil, err
+	}
+	b := NewScheduleBuilder("ring", n, elems)
+	ringAllReduce(b, n, elems)
+	return b.Finish(), nil
+}
+
+func ringArgs(n, elems int) error {
 	if n < 2 {
-		return nil, fmt.Errorf("collective: ring all-reduce needs n >= 2, got %d", n)
+		return fmt.Errorf("collective: ring all-reduce needs n >= 2, got %d", n)
 	}
 	if elems < 0 {
-		return nil, fmt.Errorf("collective: negative elems %d", elems)
+		return fmt.Errorf("collective: negative elems %d", elems)
 	}
+	return nil
+}
+
+// ringLabel is the label of step t of a ring phase on n nodes,
+// "<phase>t+1/n-1", built without fmt: the classed ring emits 2(N-1) of them.
+func ringLabel(phase string, t, n int) string {
+	return phase + strconv.Itoa(t+1) + "/" + strconv.Itoa(n-1)
+}
+
+func ringAllReduce(w StepWriter, n, elems int) {
 	chunks := tensor.Chunks(elems, n)
-	b := NewScheduleBuilder("ring", n, elems)
-	b.Grow(2*(n-1), 2*(n-1)*n)
+	w.Grow(2*(n-1), 2*(n-1)*n)
 
 	// Reduce-scatter: in step t, node i sends chunk (i-t) mod n to node i+1,
 	// which accumulates it. After n-1 steps node i fully owns chunk (i+1) mod n.
 	for t := 0; t < n-1; t++ {
-		b.StartStep(fmt.Sprintf("reduce-scatter %d/%d", t+1, n-1))
+		w.StartStep(ringLabel("reduce-scatter ", t, n))
 		for i := 0; i < n; i++ {
-			c := ((i-t)%n + n) % n
-			b.Add(Transfer{
+			w.Add(Transfer{
 				Src: i, Dst: (i + 1) % n,
-				Region: chunks[c],
+				Region: chunks[((i-t)%n+n)%n],
 				Op:     OpReduce,
 				Routed: true, Dir: ring.CW,
 			})
@@ -88,18 +70,16 @@ func RingAllReduceCompact(n, elems int) (*CompactSchedule, error) {
 	// All-gather: in step t, node i sends chunk (i+1-t) mod n to node i+1,
 	// which overwrites it.
 	for t := 0; t < n-1; t++ {
-		b.StartStep(fmt.Sprintf("all-gather %d/%d", t+1, n-1))
+		w.StartStep(ringLabel("all-gather ", t, n))
 		for i := 0; i < n; i++ {
-			c := ((i+1-t)%n + n) % n
-			b.Add(Transfer{
+			w.Add(Transfer{
 				Src: i, Dst: (i + 1) % n,
-				Region: chunks[c],
+				Region: chunks[((i+1-t)%n+n)%n],
 				Op:     OpCopy,
 				Routed: true, Dir: ring.CW,
 			})
 		}
 	}
-	return b.Finish(), nil
 }
 
 // RingAllReduceClassed is RingAllReduce emitted directly in the
@@ -109,27 +89,25 @@ func RingAllReduceCompact(n, elems int) (*CompactSchedule, error) {
 // chunk ring. Build cost is O(N) for the whole schedule instead of O(N²);
 // equality with RingAllReduce is enforced by property tests.
 func RingAllReduceClassed(n, elems int) (*ClassSchedule, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("collective: ring all-reduce needs n >= 2, got %d", n)
-	}
-	if elems < 0 {
-		return nil, fmt.Errorf("collective: negative elems %d", elems)
+	if err := ringArgs(n, elems); err != nil {
+		return nil, err
 	}
 	b := NewClassScheduleBuilder("ring", n, elems)
+	b.Grow(2*(n-1), 0)
 	b.SetLenRing(tensor.Chunks(elems, n))
 	orbit := Transfer{Src: 0, Dst: 1, Op: OpReduce, Routed: true, Dir: ring.CW}
 
 	// Reduce-scatter: transfer i of step t moves chunk (i-t) mod n, i.e. the
 	// chunk ring rotated by -t.
 	for t := 0; t < n-1; t++ {
-		b.StartSymRotated(fmt.Sprintf("reduce-scatter %d/%d", t+1, n-1), 1, n, ((-t)%n+n)%n)
+		b.StartSymRotated(ringLabel("reduce-scatter ", t, n), 1, n, ((-t)%n+n)%n)
 		b.AddOrbit(orbit)
 	}
 
 	// All-gather: transfer i of step t moves chunk (i+1-t) mod n.
 	orbit.Op = OpCopy
 	for t := 0; t < n-1; t++ {
-		b.StartSymRotated(fmt.Sprintf("all-gather %d/%d", t+1, n-1), 1, n, ((1-t)%n+n)%n)
+		b.StartSymRotated(ringLabel("all-gather ", t, n), 1, n, ((1-t)%n+n)%n)
 		b.AddOrbit(orbit)
 	}
 	return b.Finish(), nil

@@ -16,6 +16,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"wrht/internal/ring"
 	"wrht/internal/tensor"
@@ -76,6 +77,36 @@ type Schedule struct {
 	N         int
 	Elems     int
 	Steps     []Step
+}
+
+// StepWriter is the sink a schedule generator writes into: Grow sizes it
+// for the expected step and transfer counts, StartStep opens a synchronous
+// step and Add appends a transfer to it. The boxed Schedule (the oracle),
+// ScheduleBuilder (the columnar form) and ClassScheduleBuilder (the classed
+// form) all implement it, so each algorithm has one generator body.
+type StepWriter interface {
+	Grow(steps, transfers int)
+	StartStep(label string)
+	Add(tr Transfer)
+}
+
+// Grow pre-sizes the step list; each step's transfers grow as they arrive.
+func (s *Schedule) Grow(steps, transfers int) {
+	s.Steps = slices.Grow(s.Steps, steps)
+}
+
+// StartStep appends a new, empty synchronous step.
+func (s *Schedule) StartStep(label string) {
+	s.Steps = append(s.Steps, Step{Label: label})
+}
+
+// Add appends a transfer to the last step.
+func (s *Schedule) Add(tr Transfer) {
+	if len(s.Steps) == 0 {
+		panic("collective: Schedule.Add before StartStep")
+	}
+	st := &s.Steps[len(s.Steps)-1]
+	st.Transfers = append(st.Transfers, tr)
 }
 
 // NumSteps returns the number of synchronous steps.

@@ -9,135 +9,81 @@ import (
 	"wrht/internal/wdm"
 )
 
+// Schedule lowers the plan to the collective IR over a buffer of elems
+// elements. Tree reduce levels move each member's full buffer to its
+// representative (OpReduce); the all-to-all step exchanges full partials
+// among representatives; broadcast levels mirror the reduce levels with
+// OpCopy. The resulting schedule passes collective.VerifyAllReduce for every
+// (N, w, m, policy) combination — tests enforce this.
+func (p *Plan) Schedule(elems int) (*collective.Schedule, error) {
+	if elems < 0 {
+		return nil, fmt.Errorf("core: negative elems %d", elems)
+	}
+	s := &collective.Schedule{Algorithm: p.algorithm(), N: p.N, Elems: elems}
+	p.write(s, elems)
+	return s, nil
+}
+
 // CompactSchedule lowers the plan directly to the columnar IR — the form the
-// simulate fast path consumes — with the exact same steps, labels, and
-// transfer order as Schedule. Tests enforce that CompactSchedule(e).Expand()
-// deep-equals Schedule(e) for every plan shape.
+// message-level simulator consumes — from the same generator body as
+// Schedule, so steps, labels and transfer order are identical.
 func (p *Plan) CompactSchedule(elems int) (*collective.CompactSchedule, error) {
 	if elems < 0 {
 		return nil, fmt.Errorf("core: negative elems %d", elems)
 	}
-	b := collective.NewScheduleBuilder(fmt.Sprintf("wrht(m=%d,%v)", p.M, p.Policy), p.N, elems)
-	steps, transfers := p.NumSteps(), 0
+	b := collective.NewScheduleBuilder(p.algorithm(), p.N, elems)
+	p.write(b, elems)
+	return b.Finish(), nil
+}
+
+func (p *Plan) algorithm() string { return fmt.Sprintf("wrht(m=%d,%v)", p.M, p.Policy) }
+
+// write emits the plan's steps: the reduce levels, the all-to-all among the
+// final representatives, and the broadcast levels mirroring the reduce
+// stage.
+func (p *Plan) write(w collective.StepWriter, elems int) {
+	full := tensor.Region{Offset: 0, Len: elems}
+	transfers := 0
+	if r := len(p.A2AReps); r > 1 {
+		transfers = r * (r - 1)
+	}
 	for _, lvl := range p.ReduceLevels {
 		for _, g := range lvl.Groups {
 			transfers += 2 * (len(g.Members) - 1) // reduce + mirrored broadcast
 		}
 	}
-	if r := len(p.A2AReps); r > 1 {
-		transfers += r * (r - 1)
-	}
-	b.Grow(steps, transfers)
-	full := tensor.Region{Offset: 0, Len: elems}
-
-	// Reduce stage.
+	w.Grow(p.NumSteps(), transfers)
+	add := w.Add
 	for li, lvl := range p.ReduceLevels {
-		b.StartStep(fmt.Sprintf("reduce level %d", li+1))
+		w.StartStep(fmt.Sprintf("reduce level %d", li+1))
 		for _, g := range lvl.Groups {
-			for _, mem := range g.Members {
-				if mem == g.Rep {
-					continue
-				}
-				b.Add(collective.Transfer{
-					Src: mem, Dst: g.Rep,
-					Region: full,
-					Op:     collective.OpReduce,
-					Routed: true,
-					Dir:    dirToward(mem, g.Rep),
-					Width:  p.TreeStripe,
-				})
-			}
+			emitGroup(add, g, full, p.TreeStripe, false)
 		}
 	}
-
-	// All-to-all among the final representatives.
 	if p.A2AReps != nil {
-		b.StartStep(fmt.Sprintf("all-to-all among %d reps", len(p.A2AReps)))
-		for _, d := range p.a2aDemands() {
-			b.Add(collective.Transfer{
-				Src: d.Arc.Src, Dst: d.Arc.Dst,
-				Region: full,
-				Op:     collective.OpReduce,
-				Routed: true,
-				Dir:    d.Arc.Dir,
-				Width:  p.A2AStripe,
-			})
-		}
+		w.StartStep(fmt.Sprintf("all-to-all among %d reps", len(p.A2AReps)))
+		p.emitA2A(add, full)
 	}
-
-	// Broadcast stage: mirror of the reduce stage.
 	for li := len(p.ReduceLevels) - 1; li >= 0; li-- {
-		b.StartStep(fmt.Sprintf("broadcast level %d", li+1))
+		w.StartStep(fmt.Sprintf("broadcast level %d", li+1))
 		for _, g := range p.ReduceLevels[li].Groups {
-			for _, mem := range g.Members {
-				if mem == g.Rep {
-					continue
-				}
-				b.Add(collective.Transfer{
-					Src: g.Rep, Dst: mem,
-					Region: full,
-					Op:     collective.OpCopy,
-					Routed: true,
-					Dir:    dirToward(mem, g.Rep).Opposite(),
-					Width:  p.TreeStripe,
-				})
-			}
+			emitGroup(add, g, full, p.TreeStripe, true)
 		}
 	}
-	return b.Finish(), nil
 }
 
-// ClassSchedule lowers the plan directly to the symmetry-aware classed IR.
-// A reduce/broadcast level whose groups are uniform — equal sizes, members
-// and representative translated by a fixed stride — becomes one orbit step
-// (group 0's transfers, replicated #groups times at the stride); ragged
-// levels and the all-to-all step are materialized. Steps, labels, and
-// transfer order (under ClassSchedule.ForEachTransfer) are identical to
-// CompactSchedule, and classed pricing of the result is bit-identical to
-// the compact path — tests enforce both.
+// ClassSchedule lowers the plan directly to the symmetry-aware classed IR,
+// from the same generator body as Schedule. The builder certifies every
+// level whose transfers form a verifiable rotational orbit — a uniform
+// level, or a ragged one whose leftover group is a lone node — and keeps
+// the rest materialized, so classed pricing of the result is bit-identical to
+// pricing Schedule (tests enforce both).
 func (p *Plan) ClassSchedule(elems int) (*collective.ClassSchedule, error) {
 	if elems < 0 {
 		return nil, fmt.Errorf("core: negative elems %d", elems)
 	}
-	b := collective.NewClassScheduleBuilder(fmt.Sprintf("wrht(m=%d,%v)", p.M, p.Policy), p.N, elems)
-	full := tensor.Region{Offset: 0, Len: elems}
-
-	reduceLevel := func(li int, broadcast bool) {
-		lvl := p.ReduceLevels[li]
-		label := fmt.Sprintf("reduce level %d", li+1)
-		if broadcast {
-			label = fmt.Sprintf("broadcast level %d", li+1)
-		}
-		if period, ok := uniformLevel(lvl.Groups); ok {
-			b.StartSymUniform(label, period, len(lvl.Groups), full)
-			emitGroup(b.AddOrbit, lvl.Groups[0], full, p.TreeStripe, broadcast)
-			return
-		}
-		b.StartStep(label)
-		for _, g := range lvl.Groups {
-			emitGroup(b.Add, g, full, p.TreeStripe, broadcast)
-		}
-	}
-
-	for li := range p.ReduceLevels {
-		reduceLevel(li, false)
-	}
-	if p.A2AReps != nil {
-		b.StartStep(fmt.Sprintf("all-to-all among %d reps", len(p.A2AReps)))
-		for _, d := range p.a2aDemands() {
-			b.Add(collective.Transfer{
-				Src: d.Arc.Src, Dst: d.Arc.Dst,
-				Region: full,
-				Op:     collective.OpReduce,
-				Routed: true,
-				Dir:    d.Arc.Dir,
-				Width:  p.A2AStripe,
-			})
-		}
-	}
-	for li := len(p.ReduceLevels) - 1; li >= 0; li-- {
-		reduceLevel(li, true)
-	}
+	b := collective.NewClassScheduleBuilder(p.algorithm(), p.N, elems)
+	p.write(b, elems)
 	return b.Finish(), nil
 }
 
@@ -165,111 +111,19 @@ func emitGroup(add func(collective.Transfer), g ring.Group, full tensor.Region, 
 	}
 }
 
-// uniformLevel reports whether every group is group 0 translated by a fixed
-// stride (the provably-symmetric level shape) and returns that stride.
-func uniformLevel(groups []ring.Group) (int, bool) {
-	if len(groups) < 2 {
-		return 0, false
+// emitA2A appends the all-to-all exchange of full partials among the final
+// representatives through add.
+func (p *Plan) emitA2A(add func(collective.Transfer), full tensor.Region) {
+	for _, d := range p.a2aDemands() {
+		add(collective.Transfer{
+			Src: d.Arc.Src, Dst: d.Arc.Dst,
+			Region: full,
+			Op:     collective.OpReduce,
+			Routed: true,
+			Dir:    d.Arc.Dir,
+			Width:  p.A2AStripe,
+		})
 	}
-	g0 := groups[0]
-	period := groups[1].Members[0] - g0.Members[0]
-	if period < 1 {
-		return 0, false
-	}
-	for k, g := range groups {
-		if len(g.Members) != len(g0.Members) {
-			return 0, false
-		}
-		shift := k * period
-		if g.Rep != g0.Rep+shift {
-			return 0, false
-		}
-		for i, mem := range g.Members {
-			if mem != g0.Members[i]+shift {
-				return 0, false
-			}
-		}
-	}
-	return period, true
-}
-
-// Schedule lowers the plan to the collective IR over a buffer of elems
-// elements. Tree reduce levels move each member's full buffer to its
-// representative (OpReduce); the all-to-all step exchanges full partials
-// among representatives; broadcast levels mirror the reduce levels with
-// OpCopy. The resulting schedule passes collective.VerifyAllReduce for every
-// (N, w, m, policy) combination — tests enforce this.
-func (p *Plan) Schedule(elems int) (*collective.Schedule, error) {
-	if elems < 0 {
-		return nil, fmt.Errorf("core: negative elems %d", elems)
-	}
-	s := &collective.Schedule{
-		Algorithm: fmt.Sprintf("wrht(m=%d,%v)", p.M, p.Policy),
-		N:         p.N,
-		Elems:     elems,
-	}
-	full := tensor.Region{Offset: 0, Len: elems}
-
-	// Reduce stage.
-	for li, lvl := range p.ReduceLevels {
-		st := collective.Step{Label: fmt.Sprintf("reduce level %d", li+1)}
-		for _, g := range lvl.Groups {
-			for _, mem := range g.Members {
-				if mem == g.Rep {
-					continue
-				}
-				st.Transfers = append(st.Transfers, collective.Transfer{
-					Src: mem, Dst: g.Rep,
-					Region: full,
-					Op:     collective.OpReduce,
-					Routed: true,
-					Dir:    dirToward(mem, g.Rep),
-					Width:  p.TreeStripe,
-				})
-			}
-		}
-		s.Steps = append(s.Steps, st)
-	}
-
-	// All-to-all among the final representatives.
-	if p.A2AReps != nil {
-		st := collective.Step{Label: fmt.Sprintf("all-to-all among %d reps", len(p.A2AReps))}
-		demands := p.a2aDemands()
-		for _, d := range demands {
-			st.Transfers = append(st.Transfers, collective.Transfer{
-				Src: d.Arc.Src, Dst: d.Arc.Dst,
-				Region: full,
-				Op:     collective.OpReduce,
-				Routed: true,
-				Dir:    d.Arc.Dir,
-				Width:  p.A2AStripe,
-			})
-		}
-		s.Steps = append(s.Steps, st)
-	}
-
-	// Broadcast stage: mirror of the reduce stage.
-	for li := len(p.ReduceLevels) - 1; li >= 0; li-- {
-		lvl := p.ReduceLevels[li]
-		st := collective.Step{Label: fmt.Sprintf("broadcast level %d", li+1)}
-		for _, g := range lvl.Groups {
-			for _, mem := range g.Members {
-				if mem == g.Rep {
-					continue
-				}
-				st.Transfers = append(st.Transfers, collective.Transfer{
-					Src: g.Rep, Dst: mem,
-					Region: full,
-					Op:     collective.OpCopy,
-					Routed: true,
-					Dir:    dirToward(mem, g.Rep).Opposite(),
-					Width:  p.TreeStripe,
-				})
-			}
-		}
-		s.Steps = append(s.Steps, st)
-	}
-	return s, nil
 }
 
 // a2aDemands routes the final all-to-all: load-balanced by default,

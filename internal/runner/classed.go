@@ -2,6 +2,7 @@ package runner
 
 import (
 	"fmt"
+	"slices"
 
 	"wrht/internal/collective"
 	"wrht/internal/electrical"
@@ -166,12 +167,15 @@ func RunOpticalClassedObserved(cls *collective.ClassSchedule, opts OpticalOption
 }
 
 // RunElectricalClassed prices the classed schedule on the electrical
-// substrate, bit-identically to RunElectrical on the expanded schedule: steps
-// certified as partial permutations on the default non-blocking
-// cluster are priced through the class-level fluid solver (one
-// representative flow per class, bit-identical by the symmetry of max-min
-// fairness); everything else — including every step on a custom Network —
-// is materialized and priced by the exact per-flow path.
+// substrate, bit-identically to RunElectrical on the expanded schedule.
+// Every partial-permutation step on the default non-blocking cluster —
+// certified or materialized — is priced through the class-level fluid
+// solver: a certified step passes one bit count per pricing class, a
+// materialized one one bit count per distinct positive region length.
+// Progressive filling on a permutation depends only on the set of distinct
+// flow sizes, so this is bit-identical to the per-flow solve. Every other
+// step — including every step on a custom Network — is materialized and
+// priced by the exact per-flow path.
 func RunElectricalClassed(cls *collective.ClassSchedule, opts ElectricalOptions) (Result, error) {
 	return RunElectricalClassedObserved(cls, opts, nil, "")
 }
@@ -198,6 +202,7 @@ func RunElectricalClassedObserved(cls *collective.ClassSchedule, opts Electrical
 	var classSolver *electrical.ClassSolver
 	var flows []electrical.Flow
 	var bits []float64
+	var lens []int
 	stepTrack := obs.NoTrack
 	if rec.Enabled() {
 		stepTrack = rec.Track(rec.Process(proc), "steps")
@@ -206,17 +211,30 @@ func RunElectricalClassedObserved(cls *collective.ClassSchedule, opts Electrical
 	for si := 0; si < cls.NumSteps(); si++ {
 		var d float64
 		var err error
-		classed := false
-		if _, _, _, perm, sym := cls.Sym(si); sym && perm && defaultNet {
-			classed = true
+		_, _, _, perm, sym := cls.Sym(si)
+		classed := perm && defaultNet
+		if classed {
 			bits = bits[:0]
-			lo, hi := cls.ClassBounds(si)
-			for i := lo; i < hi; i++ {
-				c := cls.Class(i)
-				if c.Len == 0 {
-					continue
+			if sym {
+				lo, hi := cls.ClassBounds(si)
+				for i := lo; i < hi; i++ {
+					if c := cls.Class(i); c.Len != 0 {
+						bits = append(bits, float64(c.Len)*float64(opts.BytesPerElem)*8)
+					}
 				}
-				bits = append(bits, float64(c.Len)*float64(opts.BytesPerElem)*8)
+			} else {
+				// A materialized permutation: one class per distinct
+				// positive region length.
+				lens = lens[:0]
+				cls.ForEachTransfer(si, func(tr collective.Transfer) {
+					if tr.Region.Len != 0 {
+						lens = append(lens, tr.Region.Len)
+					}
+				})
+				slices.Sort(lens)
+				for _, l := range slices.Compact(lens) {
+					bits = append(bits, float64(l)*float64(opts.BytesPerElem)*8)
+				}
 			}
 			if classSolver == nil {
 				classSolver, err = electrical.NewClassSolver(opts.Params.LinkGbps)

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -200,5 +201,75 @@ func TestRunClassedRingDirect(t *testing.T) {
 			}
 			cls.Release()
 		}
+	}
+}
+
+// TestRunElectricalClassedPermutationSteps: materialized partial-permutation
+// steps — random pairings with repeated and zero-length regions — carry the
+// perm flag and price through the class-level solver bit for bit like the
+// boxed per-flow runner; steps where a node sends or receives twice never
+// carry it.
+func TestRunElectricalClassedPermutationSteps(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	opts := ElectricalOptions{Params: electrical.DefaultParams()}
+	materialized := 0
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(511)
+		lens := []int{0, 1 + rng.Intn(1000), 1 + rng.Intn(1<<20)}
+		s := &collective.Schedule{Algorithm: "random-perm", N: n, Elems: 1 << 20}
+		for st, steps := 0, 1+rng.Intn(4); st < steps; st++ {
+			step := collective.Step{Label: fmt.Sprintf("perm %d", st)}
+			for src, dst := range rng.Perm(n) {
+				if src == dst || rng.Intn(4) == 0 {
+					continue
+				}
+				step.Transfers = append(step.Transfers, collective.Transfer{
+					Src: src, Dst: dst, Region: tensor.Region{Len: lens[rng.Intn(len(lens))]},
+				})
+			}
+			s.Steps = append(s.Steps, step)
+		}
+		if trial%4 == 0 && n > 3 {
+			// One node sending twice, and one receiving twice.
+			r := tensor.Region{Len: lens[2]}
+			s.Steps = append(s.Steps,
+				collective.Step{Label: "sends twice", Transfers: []collective.Transfer{
+					{Src: 0, Dst: 1, Region: r}, {Src: 0, Dst: 2, Region: r}, {Src: 3, Dst: 0, Region: r}}},
+				collective.Step{Label: "receives twice", Transfers: []collective.Transfer{
+					{Src: 1, Dst: 0, Region: r}, {Src: 2, Dst: 0, Region: r}, {Src: 0, Dst: 3, Region: r}}})
+		}
+		cs := s.Compact()
+		cls := cs.Classes()
+		for si, st := range s.Steps {
+			_, _, _, perm, sym := cls.Sym(si)
+			twice := st.Label == "sends twice" || st.Label == "receives twice"
+			if perm == twice {
+				t.Fatalf("trial %d step %q: perm=%v", trial, st.Label, perm)
+			}
+			if !sym && perm {
+				materialized++
+			}
+		}
+		want, err := RunElectrical(s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunElectricalClassed(cls, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.TotalSec) != math.Float64bits(want.TotalSec) {
+			t.Fatalf("trial %d (n=%d): classed total %v, boxed %v", trial, n, got.TotalSec, want.TotalSec)
+		}
+		for si := range want.StepSec {
+			if math.Float64bits(got.StepSec[si]) != math.Float64bits(want.StepSec[si]) {
+				t.Fatalf("trial %d (n=%d) step %d: classed %v, boxed %v", trial, n, si, got.StepSec[si], want.StepSec[si])
+			}
+		}
+		cls.Release()
+		cs.Release()
+	}
+	if materialized < 40 {
+		t.Fatalf("only %d materialized permutation steps exercised", materialized)
 	}
 }

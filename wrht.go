@@ -284,17 +284,20 @@ func pipelineChunks(cfg Config) int {
 
 // lowering is how an algorithm's schedules are built: its identity in the
 // cross-run schedule cache, the Wrht plan behind it (nil for the baselines),
-// and its boxed schedule constructor.
+// and its schedule constructors.
 type lowering struct {
 	// name is the schedule-cache identity: E-Ring, O-Ring, and striped
 	// O-Ring all lower to the same ring schedule ("ring"); Wrht plans are
 	// identified by their signature instead ("").
-	name  string
-	plan  *core.Plan
-	boxed func(elems int) (*collective.Schedule, error)
-	// direct is set when a generator emits the compact and classed forms
-	// without a boxed schedule: rings and unpipelined Wrht plans.
-	direct bool
+	name string
+	plan *core.Plan
+	// boxed builds the tensor-executable oracle form; classed builds the
+	// classed form the pricing path consumes, directly.
+	boxed   func(elems int) (*collective.Schedule, error)
+	classed func(elems int) (*collective.ClassSchedule, error)
+	// compact builds the columnar form the message-level simulator
+	// consumes; nil means it is converted from the boxed form.
+	compact func(elems int) (*collective.CompactSchedule, error)
 }
 
 // lower maps alg to its lowering, building a Wrht plan through build. It is
@@ -302,38 +305,43 @@ type lowering struct {
 // rejects unknown algorithms before any cache is consulted.
 func lower(cfg Config, alg Algorithm, build planBuilder) (lowering, error) {
 	n := cfg.Nodes
+	var l lowering
 	switch alg {
 	case AlgERing, AlgORing, AlgORingStriped:
-		return lowering{name: "ring", direct: true, boxed: func(elems int) (*collective.Schedule, error) {
-			return collective.RingAllReduce(n, elems)
-		}}, nil
+		l.name = "ring"
+		l.boxed, l.classed = bindN(n, collective.RingAllReduce), bindN(n, collective.RingAllReduceClassed)
+		l.compact = bindN(n, collective.RingAllReduceCompact)
 	case AlgRD:
-		return lowering{name: "rd", boxed: func(elems int) (*collective.Schedule, error) {
-			return collective.RecursiveDoubling(n, elems)
-		}}, nil
+		l.name = "rd"
+		l.boxed, l.classed = bindN(n, collective.RecursiveDoubling), bindN(n, collective.RecursiveDoublingClassed)
 	case AlgHD:
-		return lowering{name: "hd", boxed: func(elems int) (*collective.Schedule, error) {
-			return collective.HalvingDoubling(n, elems)
-		}}, nil
+		l.name = "hd"
+		l.boxed, l.classed = bindN(n, collective.HalvingDoubling), bindN(n, collective.HalvingDoublingClassed)
 	case AlgBinomial:
-		return lowering{name: "binomial", boxed: func(elems int) (*collective.Schedule, error) {
-			return collective.BinomialTree(n, elems)
-		}}, nil
+		l.name = "binomial"
+		l.boxed, l.classed = bindN(n, collective.BinomialTree), bindN(n, collective.BinomialTreeClassed)
 	case AlgWrht, AlgWrhtUnstriped, AlgWrhtPipelined:
 		plan, err := build(n, cfg.Optical.Wavelengths, wrhtOptions(cfg, alg))
 		if err != nil {
 			return lowering{}, err
 		}
+		l.plan = plan
 		if alg == AlgWrhtPipelined {
 			chunks := pipelineChunks(cfg)
-			return lowering{plan: plan, boxed: func(elems int) (*collective.Schedule, error) {
-				return plan.PipelinedSchedule(elems, chunks)
-			}}, nil
+			l.boxed = func(elems int) (*collective.Schedule, error) { return plan.PipelinedSchedule(elems, chunks) }
+			l.classed = func(elems int) (*collective.ClassSchedule, error) { return plan.PipelinedClassSchedule(elems, chunks) }
+		} else {
+			l.boxed, l.classed, l.compact = plan.Schedule, plan.ClassSchedule, plan.CompactSchedule
 		}
-		return lowering{plan: plan, boxed: plan.Schedule, direct: true}, nil
 	default:
 		return lowering{}, fmt.Errorf("wrht: unknown algorithm %q", alg)
 	}
+	return l, nil
+}
+
+// bindN fixes a baseline constructor's node count.
+func bindN[T any](n int, f func(n, elems int) (T, error)) func(elems int) (T, error) {
+	return func(elems int) (T, error) { return f(n, elems) }
 }
 
 // buildCompactSchedule constructs the columnar (per-transfer) schedule for
@@ -345,27 +353,21 @@ func buildCompactSchedule(cfg Config, alg Algorithm, elems int) (*collective.Com
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case !l.direct:
-		s, err := l.boxed(elems)
-		if err != nil {
-			return nil, err
-		}
-		return s.Compact(), nil
-	case l.plan != nil:
-		return l.plan.CompactSchedule(elems)
-	default:
-		return collective.RingAllReduceCompact(cfg.Nodes, elems)
+	if l.compact != nil {
+		return l.compact(elems)
 	}
+	s, err := l.boxed(elems)
+	if err != nil {
+		return nil, err
+	}
+	return s.Compact(), nil
 }
 
 // buildClassSchedule constructs the symmetry-aware classed schedule (and
 // optional Wrht plan) for alg, together with the schedule's cache identity —
-// the form the simulate fast path prices. Ring schedules and unpipelined
-// Wrht plans emit classes directly without materializing per-node
-// transfers; the remaining algorithms build the boxed form once and
-// fingerprint it. With a session the schedule is cache-owned; without one
-// the caller owns it.
+// the form the simulate fast path prices. Every algorithm emits straight
+// into the classed builder, which certifies steps as they close. With a
+// session the schedule is cache-owned; without one the caller owns it.
 func buildClassSchedule(cfg Config, alg Algorithm, elems int, sess *session) (*collective.ClassSchedule, *core.Plan, exp.ScheduleKey, error) {
 	key := exp.ScheduleKey{N: cfg.Nodes, Elems: elems}
 	l, err := lower(cfg, alg, sess.buildPlan)
@@ -379,23 +381,7 @@ func buildClassSchedule(cfg Config, alg Algorithm, elems int, sess *session) (*c
 			key.Chunks = pipelineChunks(cfg)
 		}
 	}
-	build := func() (*collective.ClassSchedule, error) {
-		switch {
-		case !l.direct:
-			s, err := l.boxed(elems)
-			if err != nil {
-				return nil, err
-			}
-			cs := s.Compact()
-			cls := cs.Classes()
-			cs.Release()
-			return cls, nil
-		case l.plan != nil:
-			return l.plan.ClassSchedule(elems)
-		default:
-			return collective.RingAllReduceClassed(cfg.Nodes, elems)
-		}
-	}
+	build := func() (*collective.ClassSchedule, error) { return l.classed(elems) }
 	if rec := sess.recorder(); rec != nil {
 		// Wrap the build so certificate outcomes are recorded exactly once
 		// per distinct schedule (cache hits re-serve the same build).
