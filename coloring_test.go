@@ -54,9 +54,10 @@ func TestColoringCacheBitIdentical(t *testing.T) {
 		cfg.Optical.Wavelengths = 1 + rng.Intn(64)
 		n := cfg.Nodes
 		colorings := wdm.NewColoringCache()
+		ss := NewSweepSession() // supplies the schedules; its own caches price nothing here
 		for _, elems := range []int{1 + rng.Intn(n-1), n + rng.Intn(3*n), 64*n + rng.Intn(1000)} {
 			for _, alg := range opticalAlgorithms() {
-				cls, _, _, err := buildClassSchedule(cfg, alg, elems, nil)
+				cls, _, _, err := ss.buildClassSchedule(cfg, alg, elems)
 				if err != nil {
 					continue // e.g. no Wrht plan fits a one-wavelength budget
 				}
@@ -79,7 +80,6 @@ func TestColoringCacheBitIdentical(t *testing.T) {
 					}
 					priced[alg]++
 				}
-				cls.Release()
 			}
 		}
 		if hits, _ := colorings.Stats(); hits == 0 {

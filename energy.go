@@ -30,13 +30,12 @@ type EnergyReport struct {
 // the same simulated schedules CommunicationTime uses. It quantifies the
 // paper's "low power cost" motivation.
 func EnergyEstimate(cfg Config, alg Algorithm, bytes int64) (EnergyReport, error) {
-	// One communicationTime call yields both the simulated duration and the
-	// schedule it was simulated from, so the schedule is built exactly once.
-	res, s, err := communicationTime(cfg, alg, bytes, nil)
+	// One price call yields both the simulated duration and the schedule it
+	// was simulated from, so the schedule is built exactly once.
+	res, s, err := NewSweepSession().price(cfg, alg, bytes)
 	if err != nil {
 		return EnergyReport{}, err
 	}
-	defer s.Release() // session-free: the transient schedule is ours to recycle
 	var b energy.Breakdown
 	if isElectrical(alg) {
 		b, err = energy.Electrical(s, res.Seconds, energy.DefaultElectricalCosts(), cfg.BytesPerElem)
@@ -77,7 +76,7 @@ func EventLevelTime(cfg Config, alg Algorithm, bytes int64, async bool) (Result,
 	if err != nil {
 		return Result{}, err
 	}
-	cs, err := buildCompactSchedule(cfg, alg, elems)
+	cs, err := NewSweepSession().buildCompactSchedule(cfg, alg, elems)
 	if err != nil {
 		return Result{}, err
 	}

@@ -96,12 +96,11 @@ func TestEventLevelTimeEveryOpticalAlgorithm(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					cls, _, _, err := buildClassSchedule(cfg, alg, elems, nil)
+					cls, _, _, err := NewSweepSession().buildClassSchedule(cfg, alg, elems)
 					if err != nil {
 						t.Fatalf("%s: %v", where, err)
 					}
 					r, err := runner.RunOpticalClassed(cls, opticalOptions(cfg, alg))
-					cls.Release()
 					if err != nil {
 						t.Fatalf("%s: %v", where, err)
 					}

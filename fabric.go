@@ -1,10 +1,10 @@
 package wrht
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sync"
 
 	"wrht/internal/core"
 	"wrht/internal/dnn"
@@ -261,11 +261,15 @@ func jobBytes(cfg Config, spec JobSpec) (int64, error) {
 // same timeline (see FaultPlan); passing none, or an empty plan, leaves
 // every result bit-identical to the fault-free simulation.
 func SimulateFabric(cfg Config, jobs []JobSpec, policy FabricPolicy, plan ...FaultPlan) (FabricResult, error) {
-	fp, err := onePlan(plan)
-	if err != nil {
-		return FabricResult{}, err
-	}
-	return simulateFabric(cfg, jobs, policy, newSession().fabric, fp, nil)
+	return NewSweepSession().SimulateFabric(cfg, jobs, policy, plan...)
+}
+
+// SimulateFabric is SimulateFabric sharing this session's caches (including
+// per-tenant runtime curves across calls and policies). Runtime curves are
+// fault-independent, so faulty and fault-free runs of the same mix share
+// them.
+func (ss *SweepSession) SimulateFabric(cfg Config, jobs []JobSpec, policy FabricPolicy, plan ...FaultPlan) (FabricResult, error) {
+	return ss.SimulateFabricContext(nil, cfg, jobs, policy, plan...)
 }
 
 // algFloor is the smallest stripe grant the algorithm can run with: a fixed
@@ -285,7 +289,16 @@ func algFloor(cfg Config, alg Algorithm) int {
 	return 1
 }
 
-func simulateFabric(cfg Config, jobs []JobSpec, policy FabricPolicy, cache *fabricCache, plan FaultPlan, cancel func() error) (FabricResult, error) {
+// SimulateFabricContext is SimulateFabric under a cancellation context,
+// checked every ~1024 executed events of the co-simulation.
+func (ss *SweepSession) SimulateFabricContext(ctx context.Context, cfg Config, jobs []JobSpec, policy FabricPolicy, plan ...FaultPlan) (FabricResult, error) {
+	if err := ctxErr(ctx); err != nil {
+		return FabricResult{}, err
+	}
+	faults, err := onePlan(plan)
+	if err != nil {
+		return FabricResult{}, err
+	}
 	if err := cfg.Validate(); err != nil {
 		return FabricResult{}, err
 	}
@@ -332,27 +345,27 @@ func simulateFabric(cfg Config, jobs []JobSpec, policy FabricPolicy, cache *fabr
 			MaxWavelengths:     spec.MaxWavelengths,
 			Iterations:         spec.Iterations,
 			CheckpointEverySec: spec.CheckpointEverySec,
-			Runtime:            cache.runtime(cfg, alg, bytes),
+			Runtime:            ss.runtime(cfg, alg, bytes),
 		}
 	}
-	rec := cache.sess.recorder()
+	rec := ss.rec.Load()
 	proc := ""
 	if rec.Enabled() {
 		proc = fabricProcName(cfg, jobs, policy)
-		if !plan.Empty() {
+		if !faults.Empty() {
 			// A faulted run records different tracks than the fault-free run
 			// of the same mix; keep their recorder processes disjoint.
-			proc += fmt.Sprintf(" · faults %08x", plan.hash())
+			proc += fmt.Sprintf(" · faults %08x", faults.hash())
 		}
 	}
 	var fp faultsPlan
-	if !plan.Empty() {
-		if fp, err = plan.internal(); err != nil {
+	if !faults.Empty() {
+		if fp, err = faults.internal(); err != nil {
 			return FabricResult{}, err
 		}
 	}
 	res, err := fabric.SimulateWith(cfg.Optical.Wavelengths, inner, pol, fp,
-		fabric.SchedOpts{Rec: rec, Proc: proc, Cancel: cancel})
+		fabric.SchedOpts{Rec: rec, Proc: proc, Cancel: ctxCancel(ctx)})
 	if err != nil {
 		return FabricResult{}, err
 	}
@@ -399,35 +412,10 @@ func fabricProcName(cfg Config, jobs []JobSpec, policy FabricPolicy) string {
 		policy, len(jobs), cfg.Nodes, cfg.Optical.Wavelengths, h.Sum32())
 }
 
-// fabricCache memoizes single-ring simulation results across the jobs of
-// one SimulateFabric call, across the policies of CompareFabricPolicies, and
-// across the concurrent points of a fabric-mode RunSweep (hence the mutex):
-// CommunicationTime is deterministic in (nodes, algorithm, bytes, width), and
-// a policy sweep re-prices the same tenants many times. Pricing runs through
-// the owning session, so plans, lowered schedules, and substrate simulations
-// are additionally shared with every other consumer of the same session
-// (different grant widths of one tenant reuse one lowered ring schedule).
-type fabricCache struct {
-	mu      sync.Mutex
-	entries map[fabricCacheKey]*fabricCacheEntry
-	sess    *session
-	// hits/builds count runtime-curve lookups under mu (a hit may still wait
-	// on the entry's once if another worker is computing it — it is a hit of
-	// the *entry*, so totals are deterministic for a fixed request set).
-	hits, builds int64
-}
-
-// Stats returns the cache's cumulative hit/build counters.
-func (fc *fabricCache) Stats() (hits, builds int64) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return fc.hits, fc.builds
-}
-
 // fabricCacheKey embeds the full Config: runtimes depend on every substrate
-// parameter (optical rates, overheads, BytesPerElem, …), and the cache now
-// outlives a single call via SweepSession.CompareFabricPolicies, so
-// under-keying would serve one configuration's runtimes to another.
+// parameter (optical rates, overheads, BytesPerElem, …), and the curves
+// outlive a single call, so under-keying would serve one configuration's
+// runtimes to another.
 type fabricCacheKey struct {
 	cfg   Config
 	alg   Algorithm
@@ -435,49 +423,23 @@ type fabricCacheKey struct {
 	width int
 }
 
-// fabricCacheEntry computes under its own sync.Once so concurrent sweep
-// workers requesting the same key share one simulation instead of racing to
-// duplicate it (the same pattern as internal/exp's PlanCache).
-type fabricCacheEntry struct {
-	once sync.Once
-	sec  float64
-	err  error
-}
-
-func newFabricCacheWith(sess *session) *fabricCache {
-	return &fabricCache{entries: map[fabricCacheKey]*fabricCacheEntry{}, sess: sess}
-}
-
 // runtime prices one all-reduce of the job at stripe budget w via the full
-// single-ring simulation path, memoized by (nodes, alg, bytes, w).
-func (fc *fabricCache) runtime(cfg Config, alg Algorithm, bytes int64) func(int) (float64, error) {
+// single-ring simulation path, memoized by (config, alg, bytes, w) for the
+// session's lifetime: across jobs, policies, sweep points, and calls.
+func (ss *SweepSession) runtime(cfg Config, alg Algorithm, bytes int64) func(int) (float64, error) {
 	return func(w int) (float64, error) {
-		key := fabricCacheKey{cfg, alg, bytes, w}
-		fc.mu.Lock()
-		e, ok := fc.entries[key]
-		if !ok {
-			e = &fabricCacheEntry{}
-			fc.entries[key] = e
-			fc.builds++
-		} else {
-			fc.hits++
-		}
-		fc.mu.Unlock()
-		e.once.Do(func() {
+		return ss.fabric.Do(fabricCacheKey{cfg, alg, bytes, w}, true, func() (float64, error) {
 			c := cfg
 			c.Optical.Wavelengths = w
-			r, _, err := communicationTime(c, alg, bytes, fc.sess)
+			r, _, err := ss.price(c, alg, bytes)
 			if err != nil {
-				e.err = err
-				return
+				return 0, err
 			}
 			if r.Seconds <= 0 || math.IsNaN(r.Seconds) || math.IsInf(r.Seconds, 0) {
-				e.err = fmt.Errorf("wrht: degenerate runtime %v at width %d", r.Seconds, w)
-				return
+				return 0, fmt.Errorf("wrht: degenerate runtime %v at width %d", r.Seconds, w)
 			}
-			e.sec = r.Seconds
+			return r.Seconds, nil
 		})
-		return e.sec, e.err
 	}
 }
 
@@ -485,13 +447,17 @@ func (fc *fabricCache) runtime(cfg Config, alg Algorithm, bytes int64) func(int)
 // one runtime cache across the sweep. Use SweepSession.CompareFabricPolicies
 // to additionally share the caches across calls.
 func CompareFabricPolicies(cfg Config, jobs []JobSpec, policies []FabricPolicy) ([]FabricResult, error) {
-	return compareFabricPolicies(cfg, jobs, policies, newSession().fabric)
+	return NewSweepSession().CompareFabricPolicies(cfg, jobs, policies)
 }
 
-func compareFabricPolicies(cfg Config, jobs []JobSpec, policies []FabricPolicy, cache *fabricCache) ([]FabricResult, error) {
+// CompareFabricPolicies is CompareFabricPolicies sharing this session's
+// caches: per-tenant runtime curves, plans, lowered schedules, and substrate
+// simulations persist across calls, so repeated co-simulations of the same
+// tenant mixes price warm instead of re-simulating cold.
+func (ss *SweepSession) CompareFabricPolicies(cfg Config, jobs []JobSpec, policies []FabricPolicy) ([]FabricResult, error) {
 	out := make([]FabricResult, 0, len(policies))
 	for _, p := range policies {
-		r, err := simulateFabric(cfg, jobs, p, cache, FaultPlan{}, nil)
+		r, err := ss.SimulateFabric(cfg, jobs, p)
 		if err != nil {
 			return nil, fmt.Errorf("wrht: policy %s: %w", p, err)
 		}

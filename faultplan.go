@@ -7,7 +7,7 @@ import (
 	"wrht/internal/faults"
 )
 
-// faultsPlan aliases the internal plan type for the simulateFabric plumbing.
+// faultsPlan aliases the internal plan type for SimulateFabricContext.
 type faultsPlan = faults.Plan
 
 // Fault event kinds for FaultEvent.Kind, matching the strings that appear in

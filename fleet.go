@@ -1,6 +1,7 @@
 package wrht
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 
@@ -271,10 +272,22 @@ func GenerateFleetTrace(spec FleetTraceSpec) ([]FleetJob, error) {
 // and across fabrics with equal ring sizes. Deterministic: the same
 // inputs produce the identical FleetResult.
 func SimulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, jobs []FleetJob, opt FleetOptions) (FleetResult, error) {
-	return simulateFleet(cfg, fabrics, shapes, jobs, opt, newSession().fabric, nil)
+	return NewSweepSession().SimulateFleet(cfg, fabrics, shapes, jobs, opt)
 }
 
-func simulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, jobs []FleetJob, opt FleetOptions, cache *fabricCache, cancel func() error) (FleetResult, error) {
+// SimulateFleet is SimulateFleet sharing this session's caches: per-shape
+// runtime curves persist across calls and across fabrics with equal ring
+// sizes, so sweeping placements or traces over the same fleet prices warm.
+func (ss *SweepSession) SimulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, jobs []FleetJob, opt FleetOptions) (FleetResult, error) {
+	return ss.SimulateFleetContext(nil, cfg, fabrics, shapes, jobs, opt)
+}
+
+// SimulateFleetContext is SimulateFleet under a cancellation context,
+// checked every ~1024 executed events of the fleet's shared timeline.
+func (ss *SweepSession) SimulateFleetContext(ctx context.Context, cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, jobs []FleetJob, opt FleetOptions) (FleetResult, error) {
+	if err := ctxErr(ctx); err != nil {
+		return FleetResult{}, err
+	}
 	if err := cfg.Validate(); err != nil {
 		return FleetResult{}, err
 	}
@@ -350,7 +363,7 @@ func simulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, j
 		cfgF := cfg
 		cfgF.Nodes = f.Nodes
 		for si, info := range infos {
-			curves[fi][int64(si)] = cache.runtime(cfgF, info.alg, info.bytes)
+			curves[fi][int64(si)] = ss.runtime(cfgF, info.alg, info.bytes)
 		}
 	}
 	rt := func(fab, shape, w int) (float64, error) {
@@ -402,7 +415,7 @@ func simulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, j
 		return FleetResult{}, err
 	}
 
-	rec := cache.sess.recorder()
+	rec := ss.rec.Load()
 	proc := ""
 	if rec.Enabled() {
 		proc = fleetProcName(cfg, fabrics, jobs, opt)
@@ -412,7 +425,7 @@ func simulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, j
 	}
 	res, err := fleet.Simulate(specs, inner, rt, fleet.Options{
 		Placement: placement, Policy: pol.Kind, Lite: opt.Lite, Rec: rec, Proc: proc,
-		Faults: fp, Recovery: recovery, Retry: fp.Retry, Cancel: cancel,
+		Faults: fp, Recovery: recovery, Retry: fp.Retry, Cancel: ctxCancel(ctx),
 	})
 	if err != nil {
 		return FleetResult{}, err

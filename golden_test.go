@@ -1,6 +1,7 @@
 package wrht
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -11,15 +12,26 @@ import (
 
 // referenceCommunicationTime is the historical pricing path — boxed schedule
 // through runner.RunOptical/RunElectrical — kept verbatim as the old-path
-// oracle the compact fast path must match bit for bit.
+// oracle the compact fast path must match bit for bit. Its Wrht plan comes
+// from a session like every production plan, and is pinned deep-equal to
+// the uncached core.BuildPlan.
 func referenceCommunicationTime(cfg Config, alg Algorithm, bytes int64) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	elems := int((bytes + int64(cfg.BytesPerElem) - 1) / int64(cfg.BytesPerElem))
-	l, err := lower(cfg, alg, core.BuildPlan)
+	l, err := NewSweepSession().lower(cfg, alg)
 	if err != nil {
 		return Result{}, err
+	}
+	if l.plan != nil {
+		ref, err := core.BuildPlan(cfg.Nodes, cfg.Optical.Wavelengths, wrhtOptions(cfg, alg))
+		if err != nil {
+			return Result{}, err
+		}
+		if !reflect.DeepEqual(l.plan, ref) {
+			return Result{}, fmt.Errorf("session plan %v differs from core.BuildPlan %v", l.plan, ref)
+		}
 	}
 	s, err := l.boxed(elems)
 	if err != nil {

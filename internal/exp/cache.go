@@ -6,13 +6,14 @@ import (
 	"wrht/internal/core"
 )
 
-// memo is a mutex+once memoization table: the map is mutex-guarded, each
+// Memo is a mutex+once memoization table: the map is mutex-guarded, each
 // entry computes under its own sync.Once, so concurrent requests for the
 // same key share a single computation (and distinct keys compute in
 // parallel) while every caller receives the same value. Errors are memoized
 // too. It is the shared machinery behind the three cache layers
-// (plan → schedule → simulation).
-type memo[K comparable, V any] struct {
+// (plan → schedule → simulation) and the root package's fabric runtime
+// curves. The zero value is an empty table.
+type Memo[K comparable, V any] struct {
 	mu      sync.Mutex
 	entries map[K]*memoEntry[V]
 	hits    int64
@@ -24,17 +25,17 @@ type memoEntry[V any] struct {
 	val  V
 	err  error
 	// requested marks that a counted request has seen this entry. The first
-	// counted request per key is a miss even when an uncounted fill (an
-	// optimizer candidate) arrived earlier — that keeps the counters
+	// counted request per key is a miss even when an uncounted fill (the
+	// optimizer's winner) arrived earlier — that keeps the counters
 	// deterministic whatever the scheduling of concurrent workers.
 	requested bool
 }
 
-// do returns the memoized value for key, computing it with fn on first use.
+// Do returns the memoized value for key, computing it with fn on first use.
 // counted controls whether the request moves the hit/miss counters
-// (internal requests — e.g. the plan optimizer's candidate builds — fill
-// the table without inflating the caller-visible stats).
-func (m *memo[K, V]) do(key K, counted bool, fn func() (V, error)) (V, error) {
+// (internal requests — e.g. the plan optimizer filing its winner — fill the
+// table without inflating the caller-visible stats).
+func (m *Memo[K, V]) Do(key K, counted bool, fn func() (V, error)) (V, error) {
 	m.mu.Lock()
 	if m.entries == nil {
 		m.entries = map[K]*memoEntry[V]{}
@@ -59,9 +60,9 @@ func (m *memo[K, V]) do(key K, counted bool, fn func() (V, error)) (V, error) {
 	return e.val, e.err
 }
 
-// stats returns the counted hits and misses so far; both are deterministic
+// Stats returns the counted hits and misses so far; both are deterministic
 // for a fixed request multiset, whatever the parallelism.
-func (m *memo[K, V]) stats() (hits, misses int64) {
+func (m *Memo[K, V]) Stats() (hits, misses int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.hits, m.misses
@@ -79,14 +80,16 @@ type PlanKey struct {
 // is safe; build errors are memoized too (an infeasible key fails once, not
 // once per point).
 //
-// Automatic-group-size keys (Opts.M == 0) run the optimizer with every
-// candidate built through the cache itself, so the candidates land under
-// their explicit-m keys: a later request for the plan the optimizer chose —
-// or any other explicit m the optimizer already evaluated — is a cache hit,
-// not a rebuild. Candidate fills do not move the hit/miss counters; Stats
+// Automatic-group-size keys (Opts.M == 0) run the optimizer (core.ChooseM)
+// and file its winner under the winner's explicit-m key too, so a later
+// request for the plan the optimizer chose is a cache hit, not a rebuild.
+// The other candidates are not kept: every package-level call prices on a
+// fresh session, so each of its optimizer runs is cold, and memoizing its
+// few hundred candidates made such a run about a quarter slower and
+// larger. The winner fill does not move the hit/miss counters; Stats
 // reflects caller-visible requests only.
 type PlanCache struct {
-	m memo[PlanKey, *core.Plan]
+	m Memo[PlanKey, *core.Plan]
 }
 
 // NewPlanCache returns an empty cache.
@@ -96,26 +99,25 @@ func NewPlanCache() *PlanCache {
 
 // Plan returns the memoized plan for (n, w, opts), building it on first use.
 func (c *PlanCache) Plan(n, w int, opts core.Options) (*core.Plan, error) {
-	return c.plan(n, w, opts, true)
-}
-
-func (c *PlanCache) plan(n, w int, opts core.Options, counted bool) (*core.Plan, error) {
 	key := PlanKey{N: n, W: w, Opts: opts}
-	return c.m.do(key, counted, func() (*core.Plan, error) {
-		if opts.M == 0 && n >= 2 && w >= 1 {
-			return core.ChooseMWith(n, w, opts, func(n, w int, o core.Options) (*core.Plan, error) {
-				return c.plan(n, w, o, false)
-			})
+	return c.m.Do(key, true, func() (*core.Plan, error) {
+		if opts.M != 0 || n < 2 || w < 1 {
+			return core.BuildPlan(n, w, opts)
 		}
-		return core.BuildPlan(n, w, opts)
+		best, err := core.ChooseM(n, w, opts)
+		if err != nil {
+			return nil, err
+		}
+		o := opts
+		o.M, o.Policy = best.M, best.Policy
+		return c.m.Do(PlanKey{N: n, W: w, Opts: o}, false, func() (*core.Plan, error) { return best, nil })
 	})
 }
 
 // Stats returns the number of cache hits and misses so far: a miss is the
-// first Plan request for a key, a hit any repeat (the optimizer's internal
-// candidate fills count as neither, though they do save the miss's build
-// work); both are deterministic for a fixed request multiset, whatever the
-// parallelism.
+// first Plan request for a key, a hit any repeat (the optimizer's winner
+// fill counts as neither, though it does save the miss's build work); both
+// are deterministic for a fixed request multiset, whatever the parallelism.
 func (c *PlanCache) Stats() (hits, misses int64) {
-	return c.m.stats()
+	return c.m.Stats()
 }

@@ -25,7 +25,7 @@ type ScheduleKey struct {
 // pricing form) across sweep points and fabric tenants. Cached schedules are
 // shared: callers must treat them as immutable and must never Release them.
 type ScheduleCache struct {
-	m memo[ScheduleKey, *collective.ClassSchedule]
+	m Memo[ScheduleKey, *collective.ClassSchedule]
 }
 
 // NewScheduleCache returns an empty cache.
@@ -35,12 +35,12 @@ func NewScheduleCache() *ScheduleCache {
 
 // Schedule returns the memoized schedule for key, building it on first use.
 func (c *ScheduleCache) Schedule(key ScheduleKey, build func() (*collective.ClassSchedule, error)) (*collective.ClassSchedule, error) {
-	return c.m.do(key, true, build)
+	return c.m.Do(key, true, build)
 }
 
 // Stats returns cache hits and misses (= distinct keys built).
 func (c *ScheduleCache) Stats() (hits, misses int64) {
-	return c.m.stats()
+	return c.m.Stats()
 }
 
 // SimKey identifies one priced simulation: the schedule identity plus the
@@ -59,7 +59,7 @@ type SimKey struct {
 // one entry saves an entire RunOptical/RunElectrical replay. Results are
 // shared; callers must not mutate the Result's slices.
 type SimCache struct {
-	m memo[SimKey, runner.Result]
+	m Memo[SimKey, runner.Result]
 }
 
 // NewSimCache returns an empty cache.
@@ -69,10 +69,10 @@ func NewSimCache() *SimCache {
 
 // Run returns the memoized result for key, simulating on first use.
 func (c *SimCache) Run(key SimKey, run func() (runner.Result, error)) (runner.Result, error) {
-	return c.m.do(key, true, run)
+	return c.m.Do(key, true, run)
 }
 
 // Stats returns cache hits and misses (= distinct simulations executed).
 func (c *SimCache) Stats() (hits, misses int64) {
-	return c.m.stats()
+	return c.m.Stats()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wrht/internal/collective"
-	"wrht/internal/core"
 	"wrht/internal/model"
 	"wrht/internal/multiring"
 )
@@ -29,12 +28,20 @@ type MultiRackResult struct {
 // all-reduced over cfg.Electrical. cfg.Nodes is ignored (the worker count is
 // racks × nodesPerRack).
 func MultiRackTime(cfg Config, racks, nodesPerRack int, bytes int64) (MultiRackResult, error) {
-	return multiRackTime(cfg, racks, nodesPerRack, bytes, core.BuildPlan)
+	return NewSweepSession().multiRackTime(cfg, racks, nodesPerRack, bytes)
 }
 
-// multiRackTime is MultiRackTime with an injectable intra-rack plan builder
-// (RunSweep shares its memoized cache across multi-rack points).
-func multiRackTime(cfg Config, racks, nodesPerRack int, bytes int64, build planBuilder) (MultiRackResult, error) {
+// multiRackPlan builds the hierarchy MultiRackTime prices and
+// VerifyMultiRack executes: the per-rack plan is the AlgWrht plan of a
+// nodesPerRack-node ring, taken from the session's plan cache (RunSweep
+// shares it across multi-rack points).
+func (ss *SweepSession) multiRackPlan(cfg Config, racks, nodesPerRack int) (*multiring.Plan, error) {
+	return multiring.BuildPlanWith(racks, nodesPerRack, cfg.Optical.Wavelengths,
+		wrhtOptions(cfg, AlgWrht), ss.plans.Plan)
+}
+
+// multiRackTime is MultiRackTime on the session's plan cache.
+func (ss *SweepSession) multiRackTime(cfg Config, racks, nodesPerRack int, bytes int64) (MultiRackResult, error) {
 	if err := cfg.Optical.Validate(); err != nil {
 		return MultiRackResult{}, err
 	}
@@ -55,14 +62,7 @@ func multiRackTime(cfg Config, racks, nodesPerRack int, bytes int64, build planB
 	if err != nil {
 		return MultiRackResult{}, err
 	}
-	opts := core.DefaultOptions()
-	opts.Cost = model.CostParamsOf(cfg.Optical)
-	opts.M = cfg.WrhtGroupSize
-	if cfg.WrhtGreedyA2A {
-		opts.Policy = core.A2AGreedy
-	}
-	plan, err := multiring.BuildPlanWith(racks, nodesPerRack, cfg.Optical.Wavelengths, opts,
-		multiring.PlanBuilder(build))
+	plan, err := ss.multiRackPlan(cfg, racks, nodesPerRack)
 	if err != nil {
 		return MultiRackResult{}, err
 	}
@@ -80,13 +80,16 @@ func multiRackTime(cfg Config, racks, nodesPerRack int, bytes int64, build planB
 	}, nil
 }
 
-// VerifyMultiRack executes the composed hierarchical schedule on real
-// buffers and confirms every worker ends with the exact global sum.
+// VerifyMultiRack executes the composed hierarchical schedule — the plan
+// MultiRackTime prices — on real buffers and confirms every worker ends
+// with the exact global sum.
 func VerifyMultiRack(cfg Config, racks, nodesPerRack, elems int) error {
-	opts := core.DefaultOptions()
-	opts.Cost = model.CostParamsOf(cfg.Optical)
-	opts.M = cfg.WrhtGroupSize
-	plan, err := multiring.BuildPlan(racks, nodesPerRack, cfg.Optical.Wavelengths, opts)
+	return NewSweepSession().verifyMultiRack(cfg, racks, nodesPerRack, elems)
+}
+
+// verifyMultiRack is VerifyMultiRack on the session's plan cache.
+func (ss *SweepSession) verifyMultiRack(cfg Config, racks, nodesPerRack, elems int) error {
+	plan, err := ss.multiRackPlan(cfg, racks, nodesPerRack)
 	if err != nil {
 		return err
 	}

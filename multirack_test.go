@@ -1,6 +1,10 @@
 package wrht
 
-import "testing"
+import (
+	"testing"
+
+	"wrht/internal/core"
+)
 
 func TestMultiRackTime(t *testing.T) {
 	cfg := DefaultConfig(1) // Nodes ignored by MultiRackTime
@@ -105,5 +109,58 @@ func TestMultiRackBytesPerElemValidation(t *testing.T) {
 	}
 	if rz != rf {
 		t.Fatalf("zero width %+v != default width %+v", rz, rf)
+	}
+}
+
+// TestVerifyMultiRackExecutesPricedPlan: VerifyMultiRack executes the plan
+// MultiRackTime prices, greedy all-to-all trigger included. On one session,
+// verifying after pricing must be a plan-cache hit on the priced plan's key
+// with no new build; a verifier that lowered its own options (or planned
+// outside the session) would miss. At m=2 the greedy and formula per-rack
+// plans differ (1 vs 7 steps at 16 nodes per rack, 5 vs 11 at 64), so
+// verifying the wrong one would leave the priced plan unchecked.
+func TestVerifyMultiRackExecutesPricedPlan(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.WrhtGroupSize = 2
+	cfg.WrhtGreedyA2A = true
+	formula := cfg
+	formula.WrhtGreedyA2A = false
+	for _, tc := range []struct{ nodesPerRack, greedySteps, formulaSteps int }{
+		{16, 1, 7},
+		{64, 5, 11},
+	} {
+		ss := NewSweepSession()
+		priced, err := ss.multiRackTime(cfg, 2, tc.nodesPerRack, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := ss.Stats()
+		if err := ss.verifyMultiRack(cfg, 2, tc.nodesPerRack, 29); err != nil {
+			t.Fatalf("%d nodes per rack: %v", tc.nodesPerRack, err)
+		}
+		after := ss.Stats()
+		if after.PlanBuilds != before.PlanBuilds || after.PlanHits != before.PlanHits+1 {
+			t.Fatalf("%d nodes per rack: verification did not reuse the priced plan: plan hits/builds %d/%d -> %d/%d",
+				tc.nodesPerRack, before.PlanHits, before.PlanBuilds, after.PlanHits, after.PlanBuilds)
+		}
+		plan, err := ss.multiRackPlan(cfg, 2, tc.nodesPerRack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Intra.Policy != core.A2AGreedy || plan.Intra.NumSteps() != tc.greedySteps {
+			t.Fatalf("%d nodes per rack: priced plan %v, want greedy with %d steps",
+				tc.nodesPerRack, plan.Intra, tc.greedySteps)
+		}
+		other, err := ss.multiRackPlan(formula, 2, tc.nodesPerRack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if other.Intra.NumSteps() != tc.formulaSteps {
+			t.Fatalf("%d nodes per rack: formula plan %v, want %d steps",
+				tc.nodesPerRack, other.Intra, tc.formulaSteps)
+		}
+		if pkg, err := MultiRackTime(cfg, 2, tc.nodesPerRack, 1<<20); err != nil || pkg != priced {
+			t.Fatalf("%d nodes per rack: MultiRackTime %+v (%v), session %+v", tc.nodesPerRack, pkg, err, priced)
+		}
 	}
 }

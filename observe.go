@@ -39,8 +39,8 @@ type Observer struct {
 // nondeterministic subset of its runs).
 func (ss *SweepSession) Observe() *Observer {
 	rec := obs.New()
-	if !ss.sess.rec.CompareAndSwap(nil, rec) {
-		rec = ss.sess.rec.Load()
+	if !ss.rec.CompareAndSwap(nil, rec) {
+		rec = ss.rec.Load()
 	}
 	return &Observer{rec: rec}
 }
@@ -116,7 +116,7 @@ type MetricsSnapshot struct {
 // Snapshot summarizes the session's observability state. It works on
 // unobserved sessions too (cache stats only, empty recorder sections).
 func (ss *SweepSession) Snapshot() MetricsSnapshot {
-	snap := ss.sess.recorder().Snapshot()
+	snap := ss.rec.Load().Snapshot()
 	out := MetricsSnapshot{
 		Cache:    ss.Stats(),
 		Spans:    snap.Spans,
@@ -245,11 +245,10 @@ func InspectScheduleClasses(cfg Config, alg Algorithm, bytes int64) (ScheduleCla
 	if err != nil {
 		return ScheduleClassStats{}, err
 	}
-	cls, _, _, err := buildClassSchedule(cfg, alg, elems, nil)
+	cls, _, _, err := NewSweepSession().buildClassSchedule(cfg, alg, elems)
 	if err != nil {
 		return ScheduleClassStats{}, err
 	}
-	defer cls.Release()
 	cert, mat, dem := cls.CertStats()
 	return ScheduleClassStats{
 		Algorithm:         cls.Algorithm,

@@ -3,7 +3,6 @@ package wrht
 import (
 	"fmt"
 
-	"wrht/internal/core"
 	"wrht/internal/ring"
 	"wrht/internal/runner"
 	"wrht/internal/wdm"
@@ -36,7 +35,7 @@ func ScheduleOutline(cfg Config, alg Algorithm, bytes int64) ([]StepOutline, err
 	if err != nil {
 		return nil, err
 	}
-	l, err := lower(cfg, alg, core.BuildPlan)
+	l, err := NewSweepSession().lower(cfg, alg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,58 +1,74 @@
 package wrht
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"sync/atomic"
 
-	"wrht/internal/collective"
-	"wrht/internal/core"
 	"wrht/internal/exp"
 	"wrht/internal/obs"
-	"wrht/internal/runner"
 	"wrht/internal/wdm"
 )
 
-// session bundles the three memoization layers of the simulate fast path —
-// plan → schedule → simulation (internal/exp) — plus the fabric runtime
-// cache built on top of them and the WDM coloring cache below them, which
-// every optical simulation of the session shares (a step pattern recurring
-// across buffer sizes, models, or pipelined chunk rounds is colored once).
-// All layers are safe for concurrent use; a nil
-// *session disables caching (methods fall through to direct computation), so
-// every pricing helper takes a session and works in both modes.
-type session struct {
+// SweepSession is the pricing context every operation runs on: the plan →
+// schedule → simulation caches (internal/exp), the fabric runtime curves
+// above them, and the WDM coloring cache below them (a step pattern
+// recurring across sizes, models, or chunk rounds is colored once). Calls
+// on one session reuse each other's work, so a configuration is planned,
+// lowered, and simulated at most once per session. Construction is cheap,
+// all methods are safe for concurrent use, and results are bit-identical
+// whatever the session priced before.
+//
+// Each operation has one body, in its ...Context method; the plain method
+// forwards with a nil context, and the package function forwards to a
+// fresh session per call. The context is checked at the call boundary and
+// at the engines' iteration boundaries — between sweep grid points and
+// every ~1024 events of fabric and fleet co-simulations — so a killed
+// request stops within a bounded number of steps. A canceled call returns
+// the context's error and never a partial result; a nil context disables
+// every check.
+//
+// The caches have no eviction (a cached schedule at N=1024 is tens of MB),
+// which is why there is no process-wide session: memory grows with the
+// distinct configurations a session has seen, and dropping the session
+// releases everything.
+type SweepSession struct {
 	plans  *exp.PlanCache
 	scheds *exp.ScheduleCache
 	sims   *exp.SimCache
-	fabric *fabricCache
+	// fabric memoizes per-tenant runtime curves: (config, algorithm, bytes,
+	// width) → seconds through the session's own pricing path.
+	fabric exp.Memo[fabricCacheKey, float64]
 	// colorings is passed to the optical runner as its own argument, never
 	// through exp.SimKey: sim keys name recorder processes, so they must
 	// stay plain values.
 	colorings *wdm.ColoringCache
 	// rec is the session's flight recorder; a nil load (the default)
-	// disables observability at zero cost beyond the atomic read. The
-	// pointer is atomic so SweepSession.Observe is safe to race with
-	// in-flight pricing: calls that loaded nil before the swap simply
-	// finish unobserved, and everything after records.
+	// disables observability at zero cost beyond the atomic read, since
+	// every obs method treats a nil recorder as "off". The pointer is
+	// atomic so Observe is safe to race with in-flight pricing: calls that
+	// loaded nil before the swap simply finish unobserved, and everything
+	// after records.
 	rec atomic.Pointer[obs.Recorder]
 }
 
-// recorder returns the session's flight recorder; nil sessions (and
-// unobserved sessions) report nil, which every obs method treats as "off".
-func (s *session) recorder() *obs.Recorder {
-	if s == nil {
-		return nil
+// NewSweepSession returns an empty session.
+func NewSweepSession() *SweepSession {
+	return &SweepSession{
+		plans:     exp.NewPlanCache(),
+		scheds:    exp.NewScheduleCache(),
+		sims:      exp.NewSimCache(),
+		colorings: wdm.NewColoringCache(),
 	}
-	return s.rec.Load()
 }
 
 // simProc names one substrate simulation's recorder process: the hash of the
 // full memoization key (schedule identity + substrate options) guarantees
 // distinct sims never share tracks, so concurrent cache fills stay
 // byte-deterministic in trace exports.
-func (s *session) simProc(key exp.SimKey) string {
-	if s.recorder() == nil {
+func (ss *SweepSession) simProc(key exp.SimKey) string {
+	if ss.rec.Load() == nil {
 		return ""
 	}
 	h := fnv.New64a()
@@ -67,135 +83,6 @@ func (s *session) simProc(key exp.SimKey) string {
 	}
 	return fmt.Sprintf("price %s %s N=%d elems=%d · key %016x",
 		substrate, alg, key.Sched.N, key.Sched.Elems, h.Sum64())
-}
-
-// newSession returns an empty session.
-func newSession() *session {
-	s := &session{
-		plans:     exp.NewPlanCache(),
-		scheds:    exp.NewScheduleCache(),
-		sims:      exp.NewSimCache(),
-		colorings: wdm.NewColoringCache(),
-	}
-	s.fabric = newFabricCacheWith(s)
-	return s
-}
-
-// buildPlan is the session's planBuilder (nil session: plain core.BuildPlan).
-func (s *session) buildPlan(n, w int, opts core.Options) (*core.Plan, error) {
-	if s == nil {
-		return core.BuildPlan(n, w, opts)
-	}
-	return s.plans.Plan(n, w, opts)
-}
-
-// schedule returns the (possibly cached) classed schedule for key. With a
-// session the schedule is cache-owned and must never be Released; without
-// one the caller owns it.
-func (s *session) schedule(key exp.ScheduleKey, build func() (*collective.ClassSchedule, error)) (*collective.ClassSchedule, error) {
-	if s == nil {
-		return build()
-	}
-	return s.scheds.Schedule(key, build)
-}
-
-// simOptical prices the classed schedule on the WDM ring, memoized by
-// (schedule identity, options) when a session is present.
-func (s *session) simOptical(key exp.ScheduleKey, cls *collective.ClassSchedule, opts runner.OpticalOptions) (runner.Result, error) {
-	if s == nil {
-		return runner.RunOpticalClassed(cls, opts)
-	}
-	simKey := exp.SimKey{Sched: key, OptOpts: opts}
-	return s.sims.Run(simKey, func() (runner.Result, error) {
-		return runner.RunOpticalClassedObserved(cls, opts, s.recorder(), s.simProc(simKey), s.colorings)
-	})
-}
-
-// simElectrical prices the classed schedule on the electrical substrate,
-// memoized by (schedule identity, options) when a session is present.
-// opts.Network must be nil on the cached path (it is derived from the
-// schedule).
-func (s *session) simElectrical(key exp.ScheduleKey, cls *collective.ClassSchedule, opts runner.ElectricalOptions) (runner.Result, error) {
-	if s == nil || opts.Network != nil {
-		return runner.RunElectricalClassed(cls, opts)
-	}
-	simKey := exp.SimKey{Sched: key, Electrical: true, ElecOpts: opts}
-	return s.sims.Run(simKey, func() (runner.Result, error) {
-		return runner.RunElectricalClassedObserved(cls, opts, s.recorder(), s.simProc(simKey))
-	})
-}
-
-// SweepSession shares the plan, schedule, and simulation caches across any
-// number of pricing calls: repeated sweeps, fabric co-simulations, and
-// one-off CommunicationTime calls all reuse each other's work, so a
-// configuration is planned, lowered, and simulated at most once per session
-// lifetime. Construction is cheap; all methods are safe for concurrent use.
-// Results are bit-identical to the session-free entry points.
-//
-// The caches have no eviction: a cached schedule at N=1024 is tens of MB,
-// so memory grows with the number of distinct (algorithm, nodes, size)
-// configurations the session has seen. Drop the session (and start a fresh
-// one) to release everything; for one-shot grids, plain RunSweep already
-// scopes the caches to the call.
-type SweepSession struct {
-	sess *session
-}
-
-// NewSweepSession returns an empty session.
-func NewSweepSession() *SweepSession {
-	return &SweepSession{sess: newSession()}
-}
-
-// RunSweep is RunSweep sharing this session's caches.
-func (ss *SweepSession) RunSweep(spec SweepSpec) (*SweepResult, error) {
-	return runSweep(nil, spec, ss.sess)
-}
-
-// CommunicationTime is CommunicationTime sharing this session's caches.
-func (ss *SweepSession) CommunicationTime(cfg Config, alg Algorithm, bytes int64) (Result, error) {
-	res, _, err := communicationTime(cfg, alg, bytes, ss.sess)
-	return res, err
-}
-
-// SimulateFabric is SimulateFabric sharing this session's caches (including
-// per-tenant runtime curves across calls and policies). Runtime curves are
-// fault-independent, so faulty and fault-free runs of the same mix share
-// them.
-func (ss *SweepSession) SimulateFabric(cfg Config, jobs []JobSpec, policy FabricPolicy, plan ...FaultPlan) (FabricResult, error) {
-	fp, err := onePlan(plan)
-	if err != nil {
-		return FabricResult{}, err
-	}
-	return simulateFabric(cfg, jobs, policy, ss.sess.fabric, fp, nil)
-}
-
-// SimulateFleet is SimulateFleet sharing this session's caches: per-shape
-// runtime curves persist across calls and across fabrics with equal ring
-// sizes, so sweeping placements or traces over the same fleet prices warm.
-func (ss *SweepSession) SimulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, jobs []FleetJob, opt FleetOptions) (FleetResult, error) {
-	return simulateFleet(cfg, fabrics, shapes, jobs, opt, ss.sess.fabric, nil)
-}
-
-// CompareFabricPolicies is CompareFabricPolicies sharing this session's
-// caches: per-tenant runtime curves, plans, lowered schedules, and substrate
-// simulations persist across calls, so repeated co-simulations of the same
-// tenant mixes price warm instead of re-simulating cold.
-func (ss *SweepSession) CompareFabricPolicies(cfg Config, jobs []JobSpec, policies []FabricPolicy) ([]FabricResult, error) {
-	return compareFabricPolicies(cfg, jobs, policies, ss.sess.fabric)
-}
-
-// Compare is Compare sharing this session's caches (and, when observed, its
-// flight recorder).
-func (ss *SweepSession) Compare(cfg Config, algs []Algorithm, bytes int64) ([]Result, error) {
-	out := make([]Result, 0, len(algs))
-	for _, a := range algs {
-		r, _, err := communicationTime(cfg, a, bytes, ss.sess)
-		if err != nil {
-			return nil, fmt.Errorf("wrht: %s: %w", a, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // CacheStats reports the session's cumulative cache effectiveness per layer.
@@ -215,10 +102,27 @@ type CacheStats struct {
 // Stats returns the session's cumulative cache counters.
 func (ss *SweepSession) Stats() CacheStats {
 	var st CacheStats
-	st.PlanHits, st.PlanBuilds = ss.sess.plans.Stats()
-	st.ScheduleHits, st.ScheduleBuilds = ss.sess.scheds.Stats()
-	st.SimulationHits, st.SimulationRuns = ss.sess.sims.Stats()
-	st.FabricRuntimeHits, st.FabricRuntimeBuilds = ss.sess.fabric.Stats()
-	st.ColoringHits, st.ColoringBuilds = ss.sess.colorings.Stats()
+	st.PlanHits, st.PlanBuilds = ss.plans.Stats()
+	st.ScheduleHits, st.ScheduleBuilds = ss.scheds.Stats()
+	st.SimulationHits, st.SimulationRuns = ss.sims.Stats()
+	st.FabricRuntimeHits, st.FabricRuntimeBuilds = ss.fabric.Stats()
+	st.ColoringHits, st.ColoringBuilds = ss.colorings.Stats()
 	return st
+}
+
+// ctxCancel lowers a context to the engines' cancellation-hook shape; a nil
+// context (or context.Background()) costs nothing downstream.
+func ctxCancel(ctx context.Context) func() error {
+	if ctx == nil || ctx.Done() == nil {
+		return nil
+	}
+	return ctx.Err
+}
+
+// ctxErr is ctx.Err() tolerating a nil context.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
 }

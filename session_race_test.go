@@ -69,7 +69,7 @@ func TestSessionConcurrentHammer(t *testing.T) {
 	ops := hammerOps(t)
 
 	// Serial baseline on its own session: sessions are documented
-	// bit-identical to the session-free entry points and to each other.
+	// bit-identical to the package functions and to each other.
 	baseline := make([]any, len(ops))
 	serial := NewSweepSession()
 	for i, op := range ops {

@@ -164,31 +164,34 @@ const (
 // completion order. Per-point failures are captured in their cells; RunSweep
 // itself only fails on a malformed spec.
 func RunSweep(spec SweepSpec) (*SweepResult, error) {
-	return runSweep(nil, spec, newSession())
+	return NewSweepSession().RunSweep(spec)
 }
 
-// runSweep is RunSweep on an explicit session (SweepSession reuses one
-// across calls, making the caches cross-run) and an optional cancellation
-// context: once ctx is done, unevaluated points fill their Err slots with
-// ctx.Err() and in-flight fabric points abandon their co-simulations at the
-// next event boundary.
-func runSweep(ctx context.Context, spec SweepSpec, sess *session) (*SweepResult, error) {
+// RunSweep is RunSweep sharing this session's caches across runs.
+func (ss *SweepSession) RunSweep(spec SweepSpec) (*SweepResult, error) {
+	return ss.RunSweepContext(nil, spec)
+}
+
+// RunSweepContext is RunSweep under a cancellation context: once the
+// context is done, unevaluated grid points fill their cells' Err slots with
+// the context's error (the grid shape is preserved) and in-flight fabric
+// points abandon their co-simulations at the next event boundary.
+func (ss *SweepSession) RunSweepContext(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 	mode, err := spec.mode()
 	if err != nil {
 		return nil, err
 	}
 	spec = spec.normalized(mode)
 	pts := spec.grid(mode).Points()
-	cancel := ctxCancel(ctx)
 	cells, errs := exp.RunContext(ctx, len(pts), spec.Parallelism, func(i int) (SweepCell, error) {
 		var cell SweepCell
 		switch mode {
 		case sweepFabric:
-			cell = spec.priceFabric(pts[i], sess.fabric, cancel)
+			cell = spec.priceFabric(ctx, pts[i], ss)
 		case sweepMultiRack:
-			cell = spec.priceMultiRack(pts[i], sess.buildPlan)
+			cell = spec.priceMultiRack(pts[i], ss)
 		default:
-			cell = spec.priceComm(pts[i], sess)
+			cell = spec.priceComm(pts[i], ss)
 		}
 		return cell, cell.Err
 	})
@@ -201,9 +204,9 @@ func runSweep(ctx context.Context, spec SweepSpec, sess *session) (*SweepResult,
 		}
 	}
 	res := &SweepResult{Cells: cells}
-	res.PlanHits, res.PlanBuilds = sess.plans.Stats()
-	res.SchedHits, res.SchedBuilds = sess.scheds.Stats()
-	res.SimHits, res.SimRuns = sess.sims.Stats()
+	res.PlanHits, res.PlanBuilds = ss.plans.Stats()
+	res.SchedHits, res.SchedBuilds = ss.scheds.Stats()
+	res.SimHits, res.SimRuns = ss.sims.Stats()
 	for i := range cells {
 		if cells[i].Err != nil {
 			res.Failed++
@@ -365,7 +368,7 @@ func (spec SweepSpec) pointBytes(cfg Config, pt exp.Point) (int64, error) {
 }
 
 // priceComm evaluates one communication-mode point.
-func (spec SweepSpec) priceComm(pt exp.Point, sess *session) SweepCell {
+func (spec SweepSpec) priceComm(pt exp.Point, ss *SweepSession) SweepCell {
 	cfg := spec.pointConfig(pt)
 	cell := SweepCell{
 		Index:          pt.Index,
@@ -383,7 +386,7 @@ func (spec SweepSpec) priceComm(pt exp.Point, sess *session) SweepCell {
 		return cell
 	}
 	cell.Bytes = bytes
-	r, _, err := communicationTime(cfg, cell.Algorithm, bytes, sess)
+	r, err := ss.CommunicationTime(cfg, cell.Algorithm, bytes)
 	if err != nil {
 		cell.Err = err
 		return cell
@@ -393,9 +396,9 @@ func (spec SweepSpec) priceComm(pt exp.Point, sess *session) SweepCell {
 	return cell
 }
 
-// priceFabric evaluates one fabric-mode point; cancel (nil = never) aborts
-// the point's co-simulation at an event boundary.
-func (spec SweepSpec) priceFabric(pt exp.Point, fcache *fabricCache, cancel func() error) SweepCell {
+// priceFabric evaluates one fabric-mode point; a done ctx aborts the point's
+// co-simulation at an event boundary.
+func (spec SweepSpec) priceFabric(ctx context.Context, pt exp.Point, ss *SweepSession) SweepCell {
 	cfg := spec.pointConfig(pt)
 	mix := spec.FabricMixes[pt.FabricMix]
 	if mix.Name == "" {
@@ -409,7 +412,7 @@ func (spec SweepSpec) priceFabric(pt exp.Point, fcache *fabricCache, cancel func
 		FabricMix:    mix.Name,
 		FabricPolicy: policy,
 	}
-	fr, err := simulateFabric(cfg, mix.Jobs, policy, fcache, FaultPlan{}, cancel)
+	fr, err := ss.SimulateFabricContext(ctx, cfg, mix.Jobs, policy)
 	if err != nil {
 		cell.Err = err
 		return cell
@@ -420,7 +423,7 @@ func (spec SweepSpec) priceFabric(pt exp.Point, fcache *fabricCache, cancel func
 }
 
 // priceMultiRack evaluates one multi-rack-mode point.
-func (spec SweepSpec) priceMultiRack(pt exp.Point, build planBuilder) SweepCell {
+func (spec SweepSpec) priceMultiRack(pt exp.Point, ss *SweepSession) SweepCell {
 	cfg := spec.pointConfig(pt)
 	cell := SweepCell{
 		Index:        pt.Index,
@@ -438,7 +441,7 @@ func (spec SweepSpec) priceMultiRack(pt exp.Point, build planBuilder) SweepCell 
 		return cell
 	}
 	cell.Bytes = bytes
-	mr, err := multiRackTime(cfg, pt.Racks, pt.NodesPerRack, bytes, build)
+	mr, err := ss.multiRackTime(cfg, pt.Racks, pt.NodesPerRack, bytes)
 	if err != nil {
 		cell.Err = err
 		return cell

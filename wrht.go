@@ -51,9 +51,9 @@
 //
 // Pricing runs on a zero-allocation fast path — columnar schedules, pooled
 // simulator state, and three memoization layers (plan → schedule →
-// simulation; DESIGN.md §7). A SweepSession keeps those caches warm across
-// calls, so repeated sweeps and fabric co-simulations never recompute a
-// configuration:
+// simulation; DESIGN.md §7) held by a SweepSession. Each package function
+// prices on a fresh session; keep one across calls, and repeated sweeps and
+// fabric co-simulations never recompute a configuration:
 //
 //	sess := wrht.NewSweepSession()
 //	r1, _ := sess.RunSweep(spec)        // cold
@@ -61,9 +61,9 @@
 //	fmt.Println(sess.Stats())
 //
 // Sessions are safe for concurrent use (results stay bit-identical to
-// serial calls), and every pricing surface has a Context variant that
-// cancels in-flight simulations at event boundaries
-// (sess.RunSweepContext, sess.SimulateFabricContext, …).
+// serial calls), and each operation's ...Context method cancels in-flight
+// simulations at event boundaries (sess.RunSweepContext, …); the plain
+// method and the package function forward to it.
 //
 // Serving — cmd/serve runs an overload-safe HTTP/JSON pricing service
 // over a sharded pool of warm sessions, with bounded admission (429 +
@@ -98,6 +98,7 @@
 package wrht
 
 import (
+	"context"
 	"fmt"
 
 	"wrht/internal/collective"
@@ -256,11 +257,6 @@ func MustModel(name string) ModelSpec {
 	}
 }
 
-// planBuilder abstracts core.BuildPlan so sweeps can inject a shared
-// memoized plan cache (internal/exp) into the pricing path; the default is
-// core.BuildPlan itself.
-type planBuilder func(n, w int, opts core.Options) (*core.Plan, error)
-
 // wrhtOptions lowers the configuration to planner options for alg (striping
 // is an algorithm property: only AlgWrht rides residual WDM capacity).
 func wrhtOptions(cfg Config, alg Algorithm) core.Options {
@@ -300,10 +296,10 @@ type lowering struct {
 	compact func(elems int) (*collective.CompactSchedule, error)
 }
 
-// lower maps alg to its lowering, building a Wrht plan through build. It is
-// the one place an Algorithm is turned into a schedule source, and it
-// rejects unknown algorithms before any cache is consulted.
-func lower(cfg Config, alg Algorithm, build planBuilder) (lowering, error) {
+// lower maps alg to its lowering, taking a Wrht plan from the session's plan
+// cache. It is the one place an Algorithm is turned into a schedule source,
+// and it rejects unknown algorithms before any other cache is consulted.
+func (ss *SweepSession) lower(cfg Config, alg Algorithm) (lowering, error) {
 	n := cfg.Nodes
 	var l lowering
 	switch alg {
@@ -321,7 +317,7 @@ func lower(cfg Config, alg Algorithm, build planBuilder) (lowering, error) {
 		l.name = "binomial"
 		l.boxed, l.classed = bindN(n, collective.BinomialTree), bindN(n, collective.BinomialTreeClassed)
 	case AlgWrht, AlgWrhtUnstriped, AlgWrhtPipelined:
-		plan, err := build(n, cfg.Optical.Wavelengths, wrhtOptions(cfg, alg))
+		plan, err := ss.plans.Plan(n, cfg.Optical.Wavelengths, wrhtOptions(cfg, alg))
 		if err != nil {
 			return lowering{}, err
 		}
@@ -346,10 +342,11 @@ func bindN[T any](n int, f func(n, elems int) (T, error)) func(elems int) (T, er
 
 // buildCompactSchedule constructs the columnar (per-transfer) schedule for
 // alg — the form the message-level event simulator consumes
-// (EventLevelTime); the caller owns the schedule. Rings and unpipelined Wrht
-// plans are generated directly, without boxed per-transfer objects.
-func buildCompactSchedule(cfg Config, alg Algorithm, elems int) (*collective.CompactSchedule, error) {
-	l, err := lower(cfg, alg, core.BuildPlan)
+// (EventLevelTime); the caller owns the schedule, the session only supplies
+// the plan. Rings and unpipelined Wrht plans are generated directly, without
+// boxed per-transfer objects.
+func (ss *SweepSession) buildCompactSchedule(cfg Config, alg Algorithm, elems int) (*collective.CompactSchedule, error) {
+	l, err := ss.lower(cfg, alg)
 	if err != nil {
 		return nil, err
 	}
@@ -366,11 +363,11 @@ func buildCompactSchedule(cfg Config, alg Algorithm, elems int) (*collective.Com
 // buildClassSchedule constructs the symmetry-aware classed schedule (and
 // optional Wrht plan) for alg, together with the schedule's cache identity —
 // the form the simulate fast path prices. Every algorithm emits straight
-// into the classed builder, which certifies steps as they close. With a
-// session the schedule is cache-owned; without one the caller owns it.
-func buildClassSchedule(cfg Config, alg Algorithm, elems int, sess *session) (*collective.ClassSchedule, *core.Plan, exp.ScheduleKey, error) {
+// into the classed builder, which certifies steps as they close. The
+// schedule is cache-owned and must never be Released.
+func (ss *SweepSession) buildClassSchedule(cfg Config, alg Algorithm, elems int) (*collective.ClassSchedule, *core.Plan, exp.ScheduleKey, error) {
 	key := exp.ScheduleKey{N: cfg.Nodes, Elems: elems}
-	l, err := lower(cfg, alg, sess.buildPlan)
+	l, err := ss.lower(cfg, alg)
 	if err != nil {
 		return nil, nil, key, err
 	}
@@ -382,7 +379,7 @@ func buildClassSchedule(cfg Config, alg Algorithm, elems int, sess *session) (*c
 		}
 	}
 	build := func() (*collective.ClassSchedule, error) { return l.classed(elems) }
-	if rec := sess.recorder(); rec != nil {
+	if rec := ss.rec.Load(); rec != nil {
 		// Wrap the build so certificate outcomes are recorded exactly once
 		// per distinct schedule (cache hits re-serve the same build).
 		inner := build
@@ -398,7 +395,7 @@ func buildClassSchedule(cfg Config, alg Algorithm, elems int, sess *session) (*c
 			return cs, err
 		}
 	}
-	cls, err := sess.schedule(key, build)
+	cls, err := ss.scheds.Schedule(key, build)
 	if err != nil {
 		return nil, nil, key, err
 	}
@@ -426,22 +423,31 @@ func isElectrical(alg Algorithm) bool {
 
 // CommunicationTime simulates one all-reduce of `bytes` bytes under alg.
 func CommunicationTime(cfg Config, alg Algorithm, bytes int64) (Result, error) {
-	res, cls, err := communicationTime(cfg, alg, bytes, nil)
-	if cls != nil {
-		cls.Release() // session-free: the transient schedule is ours to recycle
+	return NewSweepSession().CommunicationTime(cfg, alg, bytes)
+}
+
+// CommunicationTime is CommunicationTime sharing this session's caches.
+func (ss *SweepSession) CommunicationTime(cfg Config, alg Algorithm, bytes int64) (Result, error) {
+	return ss.CommunicationTimeContext(nil, cfg, alg, bytes)
+}
+
+// CommunicationTimeContext is CommunicationTime under a cancellation
+// context. Single-point pricing is the service's cheap, bounded class, so
+// the context is checked at the call boundary only.
+func (ss *SweepSession) CommunicationTimeContext(ctx context.Context, cfg Config, alg Algorithm, bytes int64) (Result, error) {
+	if err := ctxErr(ctx); err != nil {
+		return Result{}, err
 	}
+	res, _, err := ss.price(cfg, alg, bytes)
 	return res, err
 }
 
-// communicationTime is CommunicationTime on the classed fast path — the
-// schedule is built (or fingerprinted) in symmetry-aware classed form and
-// priced per equivalence class — with the session supplying the
-// plan/schedule/simulation caches (nil = uncached). It also returns the
-// priced classed schedule so callers like EnergyEstimate can account
-// aggregate costs without building the schedule a second time; the schedule
-// is cache-owned when a session is present and caller-owned (releasable)
-// otherwise.
-func communicationTime(cfg Config, alg Algorithm, bytes int64, sess *session) (Result, *collective.ClassSchedule, error) {
+// price is CommunicationTime on the classed fast path — the schedule is
+// built in symmetry-aware classed form and priced per equivalence class
+// through the session's plan/schedule/simulation caches. It also returns
+// the priced, cache-owned classed schedule so EnergyEstimate can account
+// aggregate costs without building the schedule a second time.
+func (ss *SweepSession) price(cfg Config, alg Algorithm, bytes int64) (Result, *collective.ClassSchedule, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, nil, err
 	}
@@ -449,7 +455,7 @@ func communicationTime(cfg Config, alg Algorithm, bytes int64, sess *session) (R
 	if err != nil {
 		return Result{}, nil, err
 	}
-	cls, plan, key, err := buildClassSchedule(cfg, alg, elems, sess)
+	cls, plan, key, err := ss.buildClassSchedule(cfg, alg, elems)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -459,10 +465,13 @@ func communicationTime(cfg Config, alg Algorithm, bytes int64, sess *session) (R
 		PredictedSeconds: closedForm(cfg, alg, plan, int64(elems)*int64(cfg.BytesPerElem)),
 	}
 
+	// The substrate simulation is memoized by (schedule identity, options);
+	// the electrical network is derived from the schedule.
 	if isElectrical(alg) {
-		res, err := sess.simElectrical(key, cls, runner.ElectricalOptions{
-			Params:       cfg.Electrical,
-			BytesPerElem: cfg.BytesPerElem,
+		opts := runner.ElectricalOptions{Params: cfg.Electrical, BytesPerElem: cfg.BytesPerElem}
+		simKey := exp.SimKey{Sched: key, Electrical: true, ElecOpts: opts}
+		res, err := ss.sims.Run(simKey, func() (runner.Result, error) {
+			return runner.RunElectricalClassedObserved(cls, opts, ss.rec.Load(), ss.simProc(simKey))
 		})
 		if err != nil {
 			return Result{}, nil, err
@@ -472,7 +481,11 @@ func communicationTime(cfg Config, alg Algorithm, bytes int64, sess *session) (R
 		return out, cls, nil
 	}
 
-	res, err := sess.simOptical(key, cls, opticalOptions(cfg, alg))
+	opts := opticalOptions(cfg, alg)
+	simKey := exp.SimKey{Sched: key, OptOpts: opts}
+	res, err := ss.sims.Run(simKey, func() (runner.Result, error) {
+		return runner.RunOpticalClassedObserved(cls, opts, ss.rec.Load(), ss.simProc(simKey), ss.colorings)
+	})
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -527,6 +540,20 @@ func Compare(cfg Config, algs []Algorithm, bytes int64) ([]Result, error) {
 	return NewSweepSession().Compare(cfg, algs, bytes)
 }
 
+// Compare is Compare sharing this session's caches (and, when observed, its
+// flight recorder).
+func (ss *SweepSession) Compare(cfg Config, algs []Algorithm, bytes int64) ([]Result, error) {
+	out := make([]Result, 0, len(algs))
+	for _, a := range algs {
+		r, err := ss.CommunicationTime(cfg, a, bytes)
+		if err != nil {
+			return nil, fmt.Errorf("wrht: %s: %w", a, err)
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
 // VerifyAlgorithm executes the algorithm's schedule on real buffers with
 // deterministic inputs and confirms every node ends with the exact
 // elementwise sum — the correctness oracle behind every timing claim. Use a
@@ -536,7 +563,7 @@ func VerifyAlgorithm(cfg Config, alg Algorithm, elems int) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	l, err := lower(cfg, alg, core.BuildPlan)
+	l, err := NewSweepSession().lower(cfg, alg)
 	if err != nil {
 		return err
 	}
@@ -608,7 +635,7 @@ func TrainingIteration(cfg Config, alg Algorithm, modelName string, bucketCapByt
 	if err != nil {
 		return IterationReport{}, err
 	}
-	timer, err := commTimer(cfg, alg, core.BuildPlan)
+	timer, err := NewSweepSession().commTimer(cfg, alg)
 	if err != nil {
 		return IterationReport{}, err
 	}
@@ -632,8 +659,8 @@ func TrainingIteration(cfg Config, alg Algorithm, modelName string, bucketCapByt
 // commTimer builds an analytic per-bucket timer for the algorithm (fast
 // enough to call once per bucket per iteration): the Wrht variants build
 // their plan once, and every bucket is priced by closedForm.
-func commTimer(cfg Config, alg Algorithm, build planBuilder) (trace.CommTimer, error) {
-	l, err := lower(cfg, alg, build)
+func (ss *SweepSession) commTimer(cfg Config, alg Algorithm) (trace.CommTimer, error) {
+	l, err := ss.lower(cfg, alg)
 	if err != nil {
 		return nil, err
 	}
